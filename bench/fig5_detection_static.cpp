@@ -39,9 +39,8 @@ int main(int argc, char** argv) {
                  "sybil, rts_flood, pm<percent>); empty keeps the paper grid "
                  "byte-identical");
   flags.add_string("channel_index", "auto",
-                   "channel receiver lookup: auto | incremental | rebuild | scan");
+                   "channel receiver lookup: auto | scan");
   flags.add_engine_flags();
-  flags.add_monitor_impl_flag();
   flags.add_fabric_flags();
   flags.parse_or_exit(argc, argv);
 
@@ -94,7 +93,6 @@ int main(int argc, char** argv) {
   const auto build_point = [&](std::uint64_t cell) {
     detect::MultiDetectionConfig cfg;
     cfg.scenario = scenario;
-    cfg.pipeline = flags.pipeline();
     bool gap_bound = false;
     if (cell < grid_cells) {
       const std::size_t li = static_cast<std::size_t>(cell / pms.size());

@@ -28,9 +28,8 @@ int main(int argc, char** argv) {
   flags.add_double("max_speed", 20, "random waypoint max speed (m/s)");
   flags.add_double("pause", 0, "random waypoint pause time (s)");
   flags.add_string("channel_index", "auto",
-                   "channel receiver lookup: auto | incremental | rebuild | scan");
+                   "channel receiver lookup: auto | scan");
   flags.add_engine_flags();
-  flags.add_monitor_impl_flag();
   flags.parse_or_exit(argc, argv);
 
   const auto pms = flags.get_double_list("pms");
@@ -66,7 +65,6 @@ int main(int argc, char** argv) {
     cfg.rate_pps = rate;
     cfg.pm = pm;
     cfg.mobile_handoff = true;
-    cfg.pipeline = flags.pipeline();
     for (double ss : sample_sizes) {
       detect::MonitorConfig m;
       m.sample_size = static_cast<std::size_t>(ss);

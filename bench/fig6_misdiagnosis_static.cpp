@@ -37,9 +37,8 @@ int main(int argc, char** argv) {
                  "disabled, so every flag is still a false alarm (empty "
                  "keeps the paper rows byte-identical)");
   flags.add_string("channel_index", "auto",
-                   "channel receiver lookup: auto | incremental | rebuild | scan");
+                   "channel receiver lookup: auto | scan");
   flags.add_engine_flags();
-  flags.add_monitor_impl_flag();
   flags.add_fabric_flags();
   flags.parse_or_exit(argc, argv);
 
@@ -106,7 +105,6 @@ int main(int argc, char** argv) {
   const auto build_point = [&](std::uint64_t cell) {
     detect::MultiDetectionConfig cfg;
     cfg.scenario = scenario;
-    cfg.pipeline = flags.pipeline();
     cfg.pm = 0.0;  // everyone is honest
     bool attacker_row = cell >= honest_cells;
     std::size_t li;

@@ -4,18 +4,15 @@
 // domain, the Table-1 spacing/ranges — so the 4 orthogonal neighbors of
 // the center each run the (sample size x margin) configuration grid:
 // 4 nodes x 12 configs = 48 monitors per simulation. That is the scaling
-// workload the shared ObservationHub exists for: per monitoring node the
+// workload the per-node MonitorBatch exists for: per monitoring node the
 // decoded-frame ring, density estimator, ARMA tracker, and window
-// interval sets are built once instead of once per monitor.
+// accounting are built once and each frame is evaluated once per
+// config-group instead of once per monitor.
 //
 // Not a figure from the paper; it extends the Figure-5 setup to the
 // paper's remark that every neighbor of a sender can monitor it
 // independently. Detection rates are per-monitor-config aggregates over
-// all monitoring nodes. --monitor_impl picks the pipeline: batch (SoA
-// config-group lanes, the default), hub (one view per monitor), or
-// reference (private per-monitor state, the pre-hub pipeline) — all three
-// bit-identical, and the batch/hub wall-clock ratio at --grid_spacing=170
-// (degree-8 center) is the headline of bench/perf_pr8.sh.
+// all monitoring nodes.
 #include <chrono>
 #include <cstdio>
 #include <vector>
@@ -45,9 +42,8 @@ int main(int argc, char** argv) {
   flags.add_int("seed", 501, "base random seed");
   flags.add_double("alpha", 0.01, "significance level for rejecting H0");
   flags.add_string("channel_index", "auto",
-                   "channel receiver lookup: auto | incremental | rebuild | scan");
+                   "channel receiver lookup: auto | scan");
   flags.add_engine_flags();
-  flags.add_monitor_impl_flag();
   flags.parse_or_exit(argc, argv);
 
   const auto loads = flags.get_double_list("loads");
@@ -86,7 +82,6 @@ int main(int argc, char** argv) {
       cfg.rate_pps = load_rates[li];
       cfg.pm = pm;
       cfg.all_pairs = true;
-      cfg.pipeline = flags.pipeline();
       for (double margin : margins) {
         for (double ss : sample_sizes) {
           detect::MonitorConfig m;

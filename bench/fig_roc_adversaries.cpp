@@ -66,7 +66,6 @@ int main(int argc, char** argv) {
   flags.add_int("seed", 601, "base random seed");
   flags.add_double("margin", 0.10, "permissible back-off deficit (fraction of expected mean)");
   flags.add_engine_flags();
-  flags.add_monitor_impl_flag();
   flags.add_fabric_flags();
   flags.parse_or_exit(argc, argv);
 
@@ -134,7 +133,6 @@ int main(int argc, char** argv) {
     cfg.scenario = scenario;
     cfg.rate_pps = rate_pps;
     cfg.attacker = spec;
-    cfg.pipeline = flags.pipeline();
     cfg.collect_windows = true;
     // Config index (di * |sample_sizes| + si): detector-major, matching
     // the scoring loops below.

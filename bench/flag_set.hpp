@@ -10,9 +10,9 @@
 // prints "flag error: ..." and exits 1. Typed getters after a successful
 // parse cannot throw.
 //
-// The engine/monitor flag groups shared by the sweep benches (--threads,
-// --json, --monitor_impl) register with one call and come with their
-// factories (make_engine, make_sink, pipeline).
+// The flag groups shared by the sweep benches (--threads, --json, the
+// fabric flags) register with one call and come with their factories
+// (make_engine, make_sink, make_fabric).
 #pragma once
 
 #include <cstdio>
@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "detect/monitor.hpp"
 #include "exp/engine.hpp"
 #include "exp/fabric.hpp"
 #include "exp/shard.hpp"
@@ -151,21 +150,6 @@ class FlagSet {
     return *this;
   }
 
-  /// --monitor_impl for detection benches: "batch" (SoA config-group lanes
-  /// over a shared ObservationHub, the optimized pipeline), "hub" (one
-  /// HubView per monitor over a shared hub), or "reference" (private hub
-  /// per monitor, structurally the pre-hub pipeline). Results are
-  /// bit-identical across all three — perf_pr5.sh/perf_pr8.sh diff them —
-  /// so the flag is deliberately NOT part of the JSON records.
-  FlagSet& add_monitor_impl_flag() {
-    add_string("monitor_impl", "batch",
-               "detection pipeline: batch (SoA lanes over a shared "
-               "observation hub), hub (one view per monitor), or reference "
-               "(private per-monitor state; perf baseline)");
-    has_monitor_impl_flag_ = true;
-    return *this;
-  }
-
   /// The distributed-fabric flags of the sharded sweep benches: --shard
   /// i/N picks a contiguous cell range (exp/shard.hpp), --columnar writes
   /// the binary artifact, --checkpoint/--checkpoint_cells add durable
@@ -256,22 +240,17 @@ class FlagSet {
     }
   }
 
-  /// PipelineImpl value of --monitor_impl (requires add_monitor_impl_flag()).
-  detect::PipelineImpl pipeline() const {
-    return detect::pipeline_from_name(config_.get("monitor_impl"));
-  }
-
   /// Shard-independent fingerprint of the sweep this invocation computes:
   /// the bench name plus every registered flag that changes record
   /// CONTENT. Flags that only change how/where the sweep executes
-  /// (--threads, --shard, sink paths, checkpointing, --monitor_impl — all
-  /// documented bit-identical) are excluded, so all shards of one sweep
+  /// (--threads, --shard, sink paths, checkpointing — all documented
+  /// bit-identical) are excluded, so all shards of one sweep
   /// agree on the fingerprint and sweep_merge can verify they belong
   /// together.
   std::string sweep_fingerprint(const std::string& bench) const {
     static constexpr const char* kExecutionFlags[] = {
-        "threads", "json",  "columnar",     "checkpoint",
-        "shard",   "trace", "monitor_impl", "checkpoint_cells"};
+        "threads", "json",  "columnar", "checkpoint",
+        "shard",   "trace", "checkpoint_cells"};
     std::string fp = "sweep1|" + bench;
     for (const std::string& key : config_.keys()) {
       bool execution_only = false;
@@ -362,12 +341,6 @@ class FlagSet {
     if (has_engine_flags_ && config_.get_int("threads") < 0) {
       throw util::ConfigError("--threads must be >= 0");
     }
-    if (has_monitor_impl_flag_) {
-      const std::string& impl = config_.get("monitor_impl");
-      if (impl != "batch" && impl != "hub" && impl != "reference") {
-        throw util::ConfigError("--monitor_impl must be batch, hub, or reference");
-      }
-    }
     if (has_fabric_flags_) {
       try {
         exp::ShardSpec::parse(config_.get("shard"));
@@ -384,7 +357,6 @@ class FlagSet {
   std::string description_;
   std::vector<std::pair<std::string, Kind>> typed_;
   bool has_engine_flags_ = false;
-  bool has_monitor_impl_flag_ = false;
   bool has_fabric_flags_ = false;
 };
 

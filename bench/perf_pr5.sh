@@ -1,24 +1,24 @@
 #!/usr/bin/env bash
-# Measurement flow for the PR-5 detection-pipeline optimizations (shared
-# per-node ObservationHub, allocation-free Wilcoxon, window-accounting
-# memo). Unlike perf_pr4.sh the baseline lives in the SAME build: every
-# detection bench takes --monitor_impl={hub,reference} (reference = a
-# private hub per monitor, structurally the pre-hub pipeline) and
-# micro_wilcoxon carries *_Reference twins of the exact/approx benchmarks
-# (the pre-PR allocating implementation kept verbatim).
+# Measurement flow for the detection-pipeline optimizations recorded in
+# BENCH_PR5.json (allocation-free Wilcoxon, window-accounting memo).
+# micro_wilcoxon carries *_reference twins of the exact/approx cases (the
+# pre-optimization allocating implementation kept verbatim), so that
+# speedup is measured in the same build. The hub-vs-reference sweep legs this flow used to
+# run measured pipelines that no longer exist; BENCH_PR5.json keeps their
+# historical numbers.
 #
 # Writes one BENCH_PR5.json capturing:
-#   * all-pairs monitoring sweep wall-clock, hub vs reference (the
-#     headline: >=2x on 48 monitors),
-#   * micro_monitor latencies for the same workload in microbenchmark form,
+#   * all-pairs monitoring and fig5 sweep wall-clock,
+#   * micro_monitor latencies for the all-pairs workload in
+#     microbenchmark form,
 #   * micro_wilcoxon exact/approx latencies vs their reference twins
 #     (>=1.5x on the exact path),
 # plus the computed speedups.
 #
 # It also enforces the determinism contract: the fig5 / fig3 / fig6 /
 # all-pairs artifacts must be byte-identical (timing fields stripped)
-# across --threads=1 / --threads=4 AND across --monitor_impl=hub /
-# reference. Any behavioral difference fails the script.
+# across --threads=1 / --threads=4. Any behavioral difference fails the
+# script.
 #
 # Usage:
 #   bench/perf_pr5.sh [build_dir] [output_json]
@@ -38,10 +38,9 @@ done
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
-# One shared rate cache: both impls must calibrate identically anyway (the
-# calibration runs are themselves part of the determinism claim, and the
-# reference side re-reads what the hub side wrote only after the first
-# diff below has proven the artifacts identical).
+# One shared rate cache: every thread count must calibrate identically
+# anyway (the calibration runs are themselves part of the determinism
+# claim).
 export MANET_RATE_CACHE="$work/rates"
 
 ALLPAIRS_FLAGS=(--loads=0.6 --pms=0,50 --sim_time=60 --runs=2)
@@ -49,20 +48,17 @@ FIG5_FLAGS=(--loads=0.6 --pms=0,50 --sim_time=20 --runs=2)
 FIG6_FLAGS=(--loads=0.6 --sample_sizes=10,25 --sim_time=20 --runs=2)
 FIG3_FLAGS=(--rates=10,40 --measure_time=5)
 
-echo "== determinism + wall-clock: all-pairs / fig5 / fig6 (hub vs reference, 1 vs 4 threads) ==" >&2
+echo "== determinism + wall-clock: all-pairs / fig5 / fig6 (1 vs 4 threads) ==" >&2
 run_det() {  # $1 bench, $2 label, then flags...
   local bench=$1 label=$2; shift 2
   "$build/bench/$bench" "$@" --json="$work/$label.json" >/dev/null
 }
-run_det fig_allpairs_monitoring ap_hub_t1 "${ALLPAIRS_FLAGS[@]}" --threads=1 --monitor_impl=hub
-run_det fig_allpairs_monitoring ap_hub_t4 "${ALLPAIRS_FLAGS[@]}" --threads=4 --monitor_impl=hub
-run_det fig_allpairs_monitoring ap_ref_t1 "${ALLPAIRS_FLAGS[@]}" --threads=1 --monitor_impl=reference
-run_det fig5_detection_static fig5_hub_t1 "${FIG5_FLAGS[@]}" --threads=1 --monitor_impl=hub
-run_det fig5_detection_static fig5_hub_t4 "${FIG5_FLAGS[@]}" --threads=4 --monitor_impl=hub
-run_det fig5_detection_static fig5_ref_t1 "${FIG5_FLAGS[@]}" --threads=1 --monitor_impl=reference
-run_det fig6_misdiagnosis_static fig6_hub_t1 "${FIG6_FLAGS[@]}" --threads=1 --monitor_impl=hub
-run_det fig6_misdiagnosis_static fig6_hub_t4 "${FIG6_FLAGS[@]}" --threads=4 --monitor_impl=hub
-run_det fig6_misdiagnosis_static fig6_ref_t1 "${FIG6_FLAGS[@]}" --threads=1 --monitor_impl=reference
+run_det fig_allpairs_monitoring ap_t1 "${ALLPAIRS_FLAGS[@]}" --threads=1
+run_det fig_allpairs_monitoring ap_t4 "${ALLPAIRS_FLAGS[@]}" --threads=4
+run_det fig5_detection_static fig5_t1 "${FIG5_FLAGS[@]}" --threads=1
+run_det fig5_detection_static fig5_t4 "${FIG5_FLAGS[@]}" --threads=4
+run_det fig6_misdiagnosis_static fig6_t1 "${FIG6_FLAGS[@]}" --threads=1
+run_det fig6_misdiagnosis_static fig6_t4 "${FIG6_FLAGS[@]}" --threads=4
 run_det fig3_cond_prob_grid fig3_t1 "${FIG3_FLAGS[@]}" --threads=1
 run_det fig3_cond_prob_grid fig3_t4 "${FIG3_FLAGS[@]}" --threads=4
 
@@ -75,20 +71,15 @@ check_same() {  # $1/$2 labels, $3 description
     exit 1
   }
 }
-check_same ap_hub_t1 ap_hub_t4 "all-pairs hub threads 1 vs 4"
-check_same ap_hub_t1 ap_ref_t1 "all-pairs hub vs reference"
-check_same fig5_hub_t1 fig5_hub_t4 "fig5 hub threads 1 vs 4"
-check_same fig5_hub_t1 fig5_ref_t1 "fig5 hub vs reference"
-check_same fig6_hub_t1 fig6_hub_t4 "fig6 hub threads 1 vs 4"
-check_same fig6_hub_t1 fig6_ref_t1 "fig6 hub vs reference"
+check_same ap_t1 ap_t4 "all-pairs threads 1 vs 4"
+check_same fig5_t1 fig5_t4 "fig5 threads 1 vs 4"
+check_same fig6_t1 fig6_t4 "fig6 threads 1 vs 4"
 check_same fig3_t1 fig3_t4 "fig3 threads 1 vs 4"
-echo "determinism: all-pairs/fig5/fig6 identical across impls and thread counts; fig3 across thread counts" >&2
+echo "determinism: all-pairs/fig5/fig6/fig3 identical across thread counts" >&2
 
 echo "== micro benches ==" >&2
-"$build/bench/micro_monitor" --benchmark_format=json \
-    >"$work/micro_monitor.json" 2>/dev/null
-"$build/bench/micro_wilcoxon" --benchmark_format=json \
-    >"$work/micro_wilcoxon.json" 2>/dev/null
+"$build/bench/micro_monitor" --json="$work/micro_monitor.json"
+"$build/bench/micro_wilcoxon" --json="$work/micro_wilcoxon.json"
 
 python3 - "$work" "$out_json" <<'EOF'
 import json, sys
@@ -102,70 +93,45 @@ def sweep_wall(path):
     return sum(points.values())
 
 def micro(path):
-    return {b["name"]: b["real_time"]
-            for b in json.load(open(path))["benchmarks"]}
+    return {rec["case"]: rec["ns_per_op"] for rec in json.load(open(path))}
 
 def ratio(b, a):
     return round(b / a, 3) if a else None
 
-allpairs = {
-    "hub_wall_s_threads1": sweep_wall(f"{work}/ap_hub_t1.json"),
-    "reference_wall_s_threads1": sweep_wall(f"{work}/ap_ref_t1.json"),
-}
-fig5 = {
-    "hub_wall_s_threads1": sweep_wall(f"{work}/fig5_hub_t1.json"),
-    "reference_wall_s_threads1": sweep_wall(f"{work}/fig5_ref_t1.json"),
-}
+allpairs = {"wall_s_threads1": sweep_wall(f"{work}/ap_t1.json")}
+fig5 = {"wall_s_threads1": sweep_wall(f"{work}/fig5_t1.json")}
 monitor = micro(f"{work}/micro_monitor.json")
 wilcoxon = micro(f"{work}/micro_wilcoxon.json")
 
-speedup = {
-    "allpairs_sweep_hub_vs_reference": ratio(
-        allpairs["reference_wall_s_threads1"], allpairs["hub_wall_s_threads1"]),
-    "fig5_sweep_hub_vs_reference": ratio(
-        fig5["reference_wall_s_threads1"], fig5["hub_wall_s_threads1"]),
-}
-for name, t in monitor.items():
-    if "Reference" in name:
-        continue
-    ref = monitor.get(name.replace("Hub", "Reference"))
-    if ref:
-        speedup[name] = ratio(ref, t)
+speedup = {}
 for name, t in wilcoxon.items():
-    if "Reference" in name:
+    if "_fast_" not in name:
         continue
-    base, _, arg = name.partition("/")
-    ref = wilcoxon.get(f"{base}Reference/{arg}" if arg else f"{base}Reference")
+    ref = wilcoxon.get(name.replace("_fast_", "_reference_"))
     if ref:
-        speedup[name] = ratio(ref, t)
+        speedup[f"{name}_vs_reference"] = ratio(ref, t)
 
 doc = {
-    "description": "PR-5 detection-pipeline optimizations: shared per-node "
-                   "observation hub + window-accounting memo + "
-                   "allocation-free Wilcoxon, measured against the pre-PR "
-                   "pipeline (--monitor_impl=reference, *_Reference "
-                   "benchmarks) in the same build",
-    "determinism": "all-pairs/fig5/fig6 sweep artifacts byte-identical "
-                   "(timing fields stripped) across --monitor_impl=hub/"
-                   "reference and --threads=1/4; fig3 across --threads=1/4",
+    "description": "detection-pipeline optimizations: window-accounting "
+                   "memo + allocation-free Wilcoxon, the latter measured "
+                   "against the pre-optimization implementation (*_reference micro "
+                   "cases) in the same build",
+    "determinism": "all-pairs/fig5/fig6/fig3 sweep artifacts byte-identical "
+                   "(timing fields stripped) across --threads=1/4",
     "workload": "all-pairs: dense 3x3 grid, 4 monitoring nodes x 12 monitor "
                 "configs = 48 monitors per simulation",
     "allpairs_sweep": allpairs,
     "fig5_sweep": fig5,
-    "micro_monitor_ms": {k: round(v, 3) for k, v in monitor.items()},
-    "micro_wilcoxon_ns": {k: round(v, 1) for k, v in wilcoxon.items()},
+    "micro_monitor_ns_per_sim": {k: round(v, 1) for k, v in monitor.items()},
+    "micro_wilcoxon_ns_per_test": {k: round(v, 1) for k, v in wilcoxon.items()},
     "speedup": speedup,
 }
 json.dump(doc, open(out_path, "w"), indent=1)
 open(out_path, "a").write("\n")
 print(json.dumps(speedup, indent=1))
 
-hub48 = speedup.get("BM_AllPairsMonitoringHub/12")
-exact = [v for k, v in speedup.items() if k.startswith("BM_WilcoxonExact/")]
+exact = [v for k, v in speedup.items() if k.startswith("exact_")]
 ok = True
-if speedup["allpairs_sweep_hub_vs_reference"] < 2.0 and (hub48 or 0) < 2.0:
-    print("WARN: all-pairs speedup below the 2x target", file=sys.stderr)
-    ok = False
 if exact and min(exact) < 1.5:
     print("WARN: exact Wilcoxon speedup below the 1.5x target", file=sys.stderr)
     ok = False

@@ -1,31 +1,25 @@
 #!/usr/bin/env bash
-# Measurement flow for the PR-8 batched SoA detection core. The baseline
-# lives in the SAME build: every detection bench takes
-# --monitor_impl={batch,hub,reference} (batch = SoA config-group lanes,
-# the default; hub = one HubView per monitor, the PR-5..7 pipeline;
-# reference = private per-monitor state, the pre-hub pipeline), and the
-# MicroHarness micros carry *_batch/_hub/_reference case triples.
+# Measurement flow for the batched SoA detection core (monitors as
+# the lanes of one MonitorBatch per node, the production pipeline). The
+# batch-vs-hub and batch-vs-reference legs this flow used to run measured
+# pipelines that no longer exist; BENCH_PR8.json keeps their historical
+# numbers.
 #
 # Writes one BENCH_PR8.json capturing:
 #   * all-pairs monitoring sweep wall-clock at degree 8
 #     (--grid_spacing=170 pulls the 3x3 grid's diagonals into tx range, so
 #     all 8 neighbors of the center monitor it) with a dense
-#     (sample size x margin) config grid — batch vs hub is the headline:
-#     >=2x,
+#     (sample size x margin) config grid, and on the default grid,
 #   * micro_monitor latencies for the same workload shape in
 #     microbenchmark form,
-#   * micro_wilcoxon batched-close vs scalar fast-path latencies,
-#   * micro_ingest trace-replay frames/s, batch vs hub pipelines over a
-#     16-config monitor grid,
-# plus the computed speedups.
+#   * micro_wilcoxon scalar fast-path vs reference latencies,
+#   * micro_ingest trace-replay frames/s over 1- and 16-config monitor
+#     grids.
 #
 # It also enforces the determinism contract: the fig5 / fig6 / all-pairs
-# artifacts must be byte-identical (timing fields stripped) across
-# --monitor_impl=batch / hub / reference AND across --threads=1 / 4 (the
-# dense degree-8 grid diffs batch vs hub and thread counts; the
-# default-grid artifacts additionally cover the reference pipeline, which
-# is two orders of magnitude slower on the dense grid). Any behavioral
-# difference fails the script.
+# artifacts (default and degree-8 grids) must be byte-identical (timing
+# fields stripped) across --threads=1 / 4. Any behavioral difference
+# fails the script.
 #
 # Usage:
 #   bench/perf_pr8.sh [build_dir] [output_json]
@@ -45,46 +39,35 @@ done
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
-# One shared rate cache: all impls must calibrate identically anyway (the
-# calibration is part of the determinism claim — the hub/reference sides
-# re-read what the batch side wrote only after the diffs below have proven
-# the artifacts identical).
+# One shared rate cache: every thread count must calibrate identically
+# anyway (the calibration is part of the determinism claim).
 export MANET_RATE_CACHE="$work/rates"
 
-# Default-grid all-pairs (degree-4 center, 12 configs/node = 48 monitors):
-# the identity workload all three pipelines run, reference included.
+# Default-grid all-pairs (degree-4 center, 12 configs/node = 48 monitors).
 ALLPAIRS_FLAGS=(--loads=0.6 --pms=0,50 --sim_time=40 --runs=2)
 # Degree-8 all-pairs headline: 170 m spacing pulls the diagonals in range,
 # and a dense margin sweep puts 4 sizes x 40 margins = 160 configs on each
 # of the center's 8 neighbors — 1280 monitors per simulation, the workload
-# shape the SoA lanes exist for. (The reference pipeline is ~60x slower
-# than batch here; it proves identity on the default grid above instead.)
+# shape the SoA lanes exist for.
 deg8_margins=$(python3 -c "print(','.join(f'{0.02 + 0.0025*i:.4f}' for i in range(40)))")
 AP_DEG8_FLAGS=(--loads=0.6 --pms=0,50 --sim_time=40 --runs=2
                --grid_spacing=170 --margins="$deg8_margins")
 FIG5_FLAGS=(--loads=0.6 --pms=0,50 --sim_time=20 --runs=2)
 FIG6_FLAGS=(--loads=0.6 --sample_sizes=10,25 --sim_time=20 --runs=2)
 
-echo "== determinism + wall-clock: all-pairs / fig5 / fig6 (batch vs hub vs reference, 1 vs 4 threads) ==" >&2
+echo "== determinism + wall-clock: all-pairs / fig5 / fig6 (1 vs 4 threads) ==" >&2
 run_det() {  # $1 bench, $2 label, then flags...
   local bench=$1 label=$2; shift 2
   "$build/bench/$bench" "$@" --json="$work/$label.json" >/dev/null
 }
-run_det fig_allpairs_monitoring ap_batch_t1 "${ALLPAIRS_FLAGS[@]}" --threads=1 --monitor_impl=batch
-run_det fig_allpairs_monitoring ap_batch_t4 "${ALLPAIRS_FLAGS[@]}" --threads=4 --monitor_impl=batch
-run_det fig_allpairs_monitoring ap_hub_t1 "${ALLPAIRS_FLAGS[@]}" --threads=1 --monitor_impl=hub
-run_det fig_allpairs_monitoring ap_ref_t1 "${ALLPAIRS_FLAGS[@]}" --threads=1 --monitor_impl=reference
-run_det fig_allpairs_monitoring deg8_batch_t1 "${AP_DEG8_FLAGS[@]}" --threads=1 --monitor_impl=batch
-run_det fig_allpairs_monitoring deg8_batch_t4 "${AP_DEG8_FLAGS[@]}" --threads=4 --monitor_impl=batch
-run_det fig_allpairs_monitoring deg8_hub_t1 "${AP_DEG8_FLAGS[@]}" --threads=1 --monitor_impl=hub
-run_det fig5_detection_static fig5_batch_t1 "${FIG5_FLAGS[@]}" --threads=1 --monitor_impl=batch
-run_det fig5_detection_static fig5_batch_t4 "${FIG5_FLAGS[@]}" --threads=4 --monitor_impl=batch
-run_det fig5_detection_static fig5_hub_t1 "${FIG5_FLAGS[@]}" --threads=1 --monitor_impl=hub
-run_det fig5_detection_static fig5_ref_t1 "${FIG5_FLAGS[@]}" --threads=1 --monitor_impl=reference
-run_det fig6_misdiagnosis_static fig6_batch_t1 "${FIG6_FLAGS[@]}" --threads=1 --monitor_impl=batch
-run_det fig6_misdiagnosis_static fig6_batch_t4 "${FIG6_FLAGS[@]}" --threads=4 --monitor_impl=batch
-run_det fig6_misdiagnosis_static fig6_hub_t1 "${FIG6_FLAGS[@]}" --threads=1 --monitor_impl=hub
-run_det fig6_misdiagnosis_static fig6_ref_t1 "${FIG6_FLAGS[@]}" --threads=1 --monitor_impl=reference
+run_det fig_allpairs_monitoring ap_t1 "${ALLPAIRS_FLAGS[@]}" --threads=1
+run_det fig_allpairs_monitoring ap_t4 "${ALLPAIRS_FLAGS[@]}" --threads=4
+run_det fig_allpairs_monitoring deg8_t1 "${AP_DEG8_FLAGS[@]}" --threads=1
+run_det fig_allpairs_monitoring deg8_t4 "${AP_DEG8_FLAGS[@]}" --threads=4
+run_det fig5_detection_static fig5_t1 "${FIG5_FLAGS[@]}" --threads=1
+run_det fig5_detection_static fig5_t4 "${FIG5_FLAGS[@]}" --threads=4
+run_det fig6_misdiagnosis_static fig6_t1 "${FIG6_FLAGS[@]}" --threads=1
+run_det fig6_misdiagnosis_static fig6_t4 "${FIG6_FLAGS[@]}" --threads=4
 
 strip_timing() {  # wall-clock and thread count are the only fields allowed to differ
   sed -E 's/, "wall_seconds": [^,}]+//; s/, "threads": [0-9]+//' "$1"
@@ -95,18 +78,11 @@ check_same() {  # $1/$2 labels, $3 description
     exit 1
   }
 }
-check_same ap_batch_t1 ap_batch_t4 "all-pairs batch threads 1 vs 4"
-check_same ap_batch_t1 ap_hub_t1 "all-pairs batch vs hub"
-check_same ap_batch_t1 ap_ref_t1 "all-pairs batch vs reference"
-check_same deg8_batch_t1 deg8_batch_t4 "degree-8 all-pairs batch threads 1 vs 4"
-check_same deg8_batch_t1 deg8_hub_t1 "degree-8 all-pairs batch vs hub"
-check_same fig5_batch_t1 fig5_batch_t4 "fig5 batch threads 1 vs 4"
-check_same fig5_batch_t1 fig5_hub_t1 "fig5 batch vs hub"
-check_same fig5_batch_t1 fig5_ref_t1 "fig5 batch vs reference"
-check_same fig6_batch_t1 fig6_batch_t4 "fig6 batch threads 1 vs 4"
-check_same fig6_batch_t1 fig6_hub_t1 "fig6 batch vs hub"
-check_same fig6_batch_t1 fig6_ref_t1 "fig6 batch vs reference"
-echo "determinism: all-pairs/fig5/fig6 identical across batch/hub/reference and thread counts" >&2
+check_same ap_t1 ap_t4 "all-pairs threads 1 vs 4"
+check_same deg8_t1 deg8_t4 "degree-8 all-pairs threads 1 vs 4"
+check_same fig5_t1 fig5_t4 "fig5 threads 1 vs 4"
+check_same fig6_t1 fig6_t4 "fig6 threads 1 vs 4"
+echo "determinism: all-pairs/fig5/fig6 identical across thread counts" >&2
 
 echo "== micro benches ==" >&2
 "$build/bench/micro_monitor" --json="$work/micro_monitor.json"
@@ -130,66 +106,30 @@ def micro(path):
 def ratio(b, a):
     return round(b / a, 3) if a else None
 
-allpairs = {
-    "batch_wall_s_threads1": sweep_wall(f"{work}/ap_batch_t1.json"),
-    "hub_wall_s_threads1": sweep_wall(f"{work}/ap_hub_t1.json"),
-    "reference_wall_s_threads1": sweep_wall(f"{work}/ap_ref_t1.json"),
-}
-deg8 = {
-    "batch_wall_s_threads1": sweep_wall(f"{work}/deg8_batch_t1.json"),
-    "hub_wall_s_threads1": sweep_wall(f"{work}/deg8_hub_t1.json"),
-}
-fig5 = {
-    "batch_wall_s_threads1": sweep_wall(f"{work}/fig5_batch_t1.json"),
-    "hub_wall_s_threads1": sweep_wall(f"{work}/fig5_hub_t1.json"),
-    "reference_wall_s_threads1": sweep_wall(f"{work}/fig5_ref_t1.json"),
-}
+allpairs = {"wall_s_threads1": sweep_wall(f"{work}/ap_t1.json")}
+deg8 = {"wall_s_threads1": sweep_wall(f"{work}/deg8_t1.json")}
+fig5 = {"wall_s_threads1": sweep_wall(f"{work}/fig5_t1.json")}
 monitor = micro(f"{work}/micro_monitor.json")
 wilcoxon = micro(f"{work}/micro_wilcoxon.json")
 ingest = micro(f"{work}/micro_ingest.json")
 
-speedup = {
-    "allpairs_deg8_sweep_batch_vs_hub": ratio(
-        deg8["hub_wall_s_threads1"], deg8["batch_wall_s_threads1"]),
-    "allpairs_sweep_batch_vs_hub": ratio(
-        allpairs["hub_wall_s_threads1"], allpairs["batch_wall_s_threads1"]),
-    "allpairs_sweep_batch_vs_reference": ratio(
-        allpairs["reference_wall_s_threads1"], allpairs["batch_wall_s_threads1"]),
-    "fig5_sweep_batch_vs_hub": ratio(
-        fig5["hub_wall_s_threads1"], fig5["batch_wall_s_threads1"]),
-    "fig5_sweep_batch_vs_reference": ratio(
-        fig5["reference_wall_s_threads1"], fig5["batch_wall_s_threads1"]),
-}
-for name, t in monitor.items():
-    if "_batch" not in name:
-        continue
-    hub = monitor.get(name.replace("_batch", "_hub"))
-    if hub:
-        speedup[f"{name}_vs_hub"] = ratio(hub, t)
+speedup = {}
 for name, t in wilcoxon.items():
-    if "_batch_" not in name:
+    if "_fast_" not in name:
         continue
-    fast = wilcoxon.get(name.replace("_batch_", "_fast_"))
-    if fast:
-        speedup[f"{name}_vs_fast"] = ratio(fast, t)
-for suffix in ("", "_x16"):
-    b, hb = f"replay_batch_wilcoxon{suffix}", f"replay_hub_wilcoxon{suffix}"
-    if b in ingest and hb in ingest:
-        speedup[f"ingest_replay_batch_vs_hub{suffix}"] = ratio(
-            ingest[hb], ingest[b])
+    ref = wilcoxon.get(name.replace("_fast_", "_reference_"))
+    if ref:
+        speedup[f"{name}_vs_reference"] = ratio(ref, t)
 ingest_rates = {f"{k}_frames_per_s": round(1e9 / v)
                 for k, v in ingest.items()
                 if k.startswith("replay_") and v}
 
 doc = {
-    "description": "PR-8 batched SoA detection core: one pass per node and "
-                   "per config-group, vectorized Wilcoxon/system-state/"
-                   "sequential evaluation, measured against the per-view "
-                   "hub pipeline (--monitor_impl=hub) and the pre-hub "
-                   "reference (--monitor_impl=reference) in the same build",
+    "description": "batched SoA detection core: one pass per node and "
+                   "per config-group, batched system-state/sequential "
+                   "evaluation",
     "determinism": "all-pairs/fig5/fig6 sweep artifacts byte-identical "
-                   "(timing fields stripped) across --monitor_impl=batch/"
-                   "hub/reference and --threads=1/4",
+                   "(timing fields stripped) across --threads=1/4",
     "workload": "degree-8 all-pairs: 3x3 grid at 170 m spacing (the "
                 "center's 8 neighbors all in tx range), 8 monitoring nodes "
                 "x (4 sample sizes x 40 margins) = 1280 monitors per "
@@ -206,17 +146,6 @@ doc = {
 json.dump(doc, open(out_path, "w"), indent=1)
 open(out_path, "a").write("\n")
 print(json.dumps(speedup, indent=1))
-
-ok = True
-if (speedup["allpairs_deg8_sweep_batch_vs_hub"] or 0) < 2.0:
-    print("WARN: degree-8 all-pairs batch-vs-hub speedup below the 2x target",
-          file=sys.stderr)
-    ok = False
-if (speedup.get("ingest_replay_batch_vs_hub_x16") or 0) < 1.1:
-    print("WARN: 16-config replay ingest batch-vs-hub gain below the 1.1x "
-          "target", file=sys.stderr)
-    ok = False
-sys.exit(0 if ok else 2)
 EOF
 
 echo "wrote $out_json" >&2

@@ -1,38 +1,35 @@
 #!/usr/bin/env bash
-# Measurement flow for the PR-9 scale kernel. All three receiver-lookup
-# paths live in the SAME build: every network bench takes
-# --channel_index={auto,incremental,rebuild,scan} (incremental = per-radio
-# cell migration + predicted-position prefilter + parked-pair budget cache,
-# the default under auto; rebuild = the retained PR-4..8 kernel with
-# staleness-bounded grid rebuilds and the O(N^2) kMovingEpoch link cache;
-# scan = the always-exact full scan reference), and fig_scale_sweep takes
-# the same set as --index.
+# Measurement flow for the scale kernel. Both receiver-lookup paths
+# live in the SAME build: every network bench takes
+# --channel_index={auto,scan} (auto = the incremental index: per-radio
+# cell migration + predicted-position prefilter + parked-pair budget
+# cache; scan = the always-exact full-scan oracle), and fig_scale_sweep
+# takes the same pair as --index. The rebuild-kernel legs this flow used
+# to run measured a kernel that no longer exists; BENCH_PR9.json keeps
+# their historical numbers.
 #
 # Writes one BENCH_PR9.json capturing:
 #   * fig_scale_sweep wall-clock at 1k and 2k mobile nodes (10 sim-s of
-#     random waypoint + multi-hop AODV request/response) for all three
-#     index modes, plus the computed speedups,
+#     random waypoint + multi-hop AODV request/response) for both index
+#     modes, plus the computed speedups,
 #   * a 10k-node 50-sim-s completion run on the incremental index with the
-#     index/cache counters recorded (rebuild is infeasible there: the
-#     N^2 link cache alone would be ~2.4 GB),
+#     index/cache counters recorded,
 #   * the incremental index/cache statistics at every measured size.
 #
 # It also enforces the determinism contract: the fig5 / fig5d / fig6 /
 # all-pairs artifacts must be byte-identical (timing fields stripped)
-# across --channel_index=incremental / rebuild / scan AND across
-# --threads=1 / 4, and the fig_scale_sweep workload counters must be
-# identical across index modes. Any behavioral difference fails the
-# script: the index is a lookup strategy, never a physics change.
+# across --channel_index=auto / scan AND across --threads=1 / 4, and the
+# fig_scale_sweep workload counters must be identical across index
+# modes. Any behavioral difference fails the script: the index is a
+# lookup strategy, never a physics change.
 #
-# Speedup reality (see DESIGN.md section 4j): at 1k nodes the PR-4 grid
-# had already removed the O(N) receiver scan from the hot path, so the
-# wall clock is dominated by the shared MAC/PHY/AODV delivery work
-# (~36 deliveries + ~43 carrier edges per transmission at the paper's
-# density). The incremental index wins on memory (O(N) vs the rebuild
-# path's O(N^2) link cache) and on the vs-scan ratio, which grows with N;
-# it does not — cannot — multiply the shared physics. The 5x-at-1k target
-# is checked below and reported as a WARN (exit 2) when missed, with the
-# honest numbers recorded either way.
+# Speedup reality (see DESIGN.md section 4j): at 1k nodes the wall clock
+# is dominated by the shared MAC/PHY/AODV delivery work (~36 deliveries +
+# ~43 carrier edges per transmission at the paper's density). The index
+# removes the O(N) receiver scan and keeps memory O(N); the vs-scan ratio
+# grows with N, but it does not — cannot — multiply the shared physics.
+# The 5x-at-1k target is checked below and reported as a WARN (exit 2)
+# when missed, with the honest numbers recorded either way.
 #
 # Usage:
 #   bench/perf_pr9.sh [build_dir] [output_json]
@@ -61,7 +58,7 @@ FIG5D_FLAGS=(--pms=50 --sample_sizes=10,25 --sim_time=40 --runs=2)
 FIG6_FLAGS=(--loads=0.6 --sample_sizes=10,25 --sim_time=20 --runs=2)
 ALLPAIRS_FLAGS=(--loads=0.6 --pms=0,50 --sim_time=40 --runs=2)
 
-echo "== determinism: fig5 / fig5d / fig6 / all-pairs (incremental vs rebuild vs scan, 1 vs 4 threads) ==" >&2
+echo "== determinism: fig5 / fig5d / fig6 / all-pairs (auto vs scan, 1 vs 4 threads) ==" >&2
 run_det() {  # $1 bench, $2 label, then flags...
   local bench=$1 label=$2; shift 2
   "$build/bench/$bench" "$@" --json="$work/$label.json" >/dev/null
@@ -77,14 +74,12 @@ check_same() {  # $1/$2 labels, $3 description
 }
 det_bench() {  # $1 bench, $2 tag, then the bench's sweep flags...
   local bench=$1 tag=$2; shift 2
-  run_det "$bench" "${tag}_inc_t1" "$@" --threads=1 --channel_index=incremental
-  run_det "$bench" "${tag}_inc_t4" "$@" --threads=4 --channel_index=incremental
-  run_det "$bench" "${tag}_reb_t1" "$@" --threads=1 --channel_index=rebuild
+  run_det "$bench" "${tag}_inc_t1" "$@" --threads=1 --channel_index=auto
+  run_det "$bench" "${tag}_inc_t4" "$@" --threads=4 --channel_index=auto
   run_det "$bench" "${tag}_scan_t1" "$@" --threads=1 --channel_index=scan
   check_same "${tag}_inc_t1" "${tag}_inc_t4" "$tag incremental threads 1 vs 4"
-  check_same "${tag}_inc_t1" "${tag}_reb_t1" "$tag incremental vs rebuild"
   check_same "${tag}_inc_t1" "${tag}_scan_t1" "$tag incremental vs full-scan reference"
-  echo "  $tag: identical across incremental/rebuild/scan and thread counts" >&2
+  echo "  $tag: identical across auto/scan and thread counts" >&2
 }
 det_bench fig5_detection_static fig5 "${FIG5_FLAGS[@]}"
 det_bench fig5d_detection_mobile fig5d "${FIG5D_FLAGS[@]}"
@@ -99,25 +94,19 @@ strip_scale() {
           s/"index": "[a-z]+", //' "$1"
 }
 SCALE_DET_FLAGS=(--nodes=500 --sim_time=5 --seed=7)
-"$build/bench/fig_scale_sweep" "${SCALE_DET_FLAGS[@]}" --index=incremental \
+"$build/bench/fig_scale_sweep" "${SCALE_DET_FLAGS[@]}" --index=auto \
     --json="$work/sdet_inc.json" >/dev/null
-"$build/bench/fig_scale_sweep" "${SCALE_DET_FLAGS[@]}" --index=rebuild \
-    --json="$work/sdet_reb.json" >/dev/null
 "$build/bench/fig_scale_sweep" "${SCALE_DET_FLAGS[@]}" --index=scan \
     --json="$work/sdet_scan.json" >/dev/null
-for other in sdet_reb sdet_scan; do
-  diff <(strip_scale "$work/sdet_inc.json") <(strip_scale "$work/$other.json") >/dev/null || {
-    echo "FAIL: scale workload differs between incremental and ${other#sdet_}" >&2
-    exit 1
-  }
-done
-echo "  scale workload counters identical across incremental/rebuild/scan" >&2
+diff <(strip_scale "$work/sdet_inc.json") <(strip_scale "$work/sdet_scan.json") >/dev/null || {
+  echo "FAIL: scale workload differs between incremental and scan" >&2
+  exit 1
+}
+echo "  scale workload counters identical across auto/scan" >&2
 
-echo "== scale measurement: 1k and 2k nodes, 10 sim-s, three index modes ==" >&2
+echo "== scale measurement: 1k and 2k nodes, 10 sim-s, both index modes ==" >&2
 "$build/bench/fig_scale_sweep" --nodes=1000,2000 --sim_time=10 \
-    --index=incremental --cache_stats=1 --json="$work/scale_inc.json"
-"$build/bench/fig_scale_sweep" --nodes=1000,2000 --sim_time=10 \
-    --index=rebuild --json="$work/scale_reb.json"
+    --index=auto --cache_stats=1 --json="$work/scale_inc.json"
 "$build/bench/fig_scale_sweep" --nodes=1000,2000 --sim_time=10 \
     --index=scan --json="$work/scale_scan.json"
 
@@ -126,7 +115,7 @@ echo "== 10k-node completion run (incremental, 50 sim-s, 100 flows) ==" >&2
 # flood, so flows scaling with N makes the WORKLOAD O(N^2) regardless of
 # the index. 100 flows keeps the 10k point a kernel measurement.
 "$build/bench/fig_scale_sweep" --nodes=10000 --sim_time=50 --flows=100 \
-    --index=incremental --cache_stats=1 --json="$work/scale_10k.json"
+    --index=auto --cache_stats=1 --json="$work/scale_10k.json"
 
 python3 - "$work" "$out_json" <<'EOF'
 import json, sys
@@ -139,7 +128,6 @@ def ratio(b, a):
     return round(b / a, 3) if a else None
 
 inc = by_nodes(f"{work}/scale_inc.json")
-reb = by_nodes(f"{work}/scale_reb.json")
 scan = by_nodes(f"{work}/scale_scan.json")
 ten_k = json.load(open(f"{work}/scale_10k.json"))[0]
 
@@ -147,22 +135,19 @@ speedup = {}
 for n in (1000, 2000):
     speedup[f"scale_{n}_incremental_vs_scan"] = ratio(
         scan[n]["wall_seconds"], inc[n]["wall_seconds"])
-    speedup[f"scale_{n}_incremental_vs_rebuild"] = ratio(
-        reb[n]["wall_seconds"], inc[n]["wall_seconds"])
 
 doc = {
-    "description": "PR-9 scale kernel: incremental spatial index (per-radio "
+    "description": "scale kernel: incremental spatial index (per-radio "
                    "cell migration heap, predicted-position prefilter, "
-                   "parked-pair budget cache) measured against the retained "
-                   "PR-4 rebuild kernel (--channel_index=rebuild) and the "
+                   "parked-pair budget cache) measured against the "
                    "full-scan reference (--channel_index=scan) in the same "
                    "build, under random waypoint + multi-hop AODV "
                    "request/response at the paper's density (40 nodes/km^2)",
     "determinism": "fig5/fig5d/fig6/all-pairs artifacts byte-identical "
                    "(timing fields stripped) across "
-                   "--channel_index=incremental/rebuild/scan and "
-                   "--threads=1/4; fig_scale_sweep workload and AODV "
-                   "counters identical across index modes",
+                   "--channel_index=auto/scan and --threads=1/4; "
+                   "fig_scale_sweep workload and AODV counters identical "
+                   "across index modes",
     "workload": "fig_scale_sweep: random waypoint (20 m/s max, 5 s pause), "
                 "nodes/20 request/response flows at 2 req/s, 10 sim-s per "
                 "point; the 10k completion run pins 100 flows because "
@@ -170,19 +155,15 @@ doc = {
                 "flows-proportional-to-N an O(N^2) workload by itself",
     "scale_sweep": {
         "incremental": {str(n): inc[n] for n in sorted(inc)},
-        "rebuild": {str(n): reb[n] for n in sorted(reb)},
         "scan": {str(n): scan[n] for n in sorted(scan)},
     },
     "ten_k_completion": ten_k,
     "speedup": speedup,
-    "speedup_note": "at 1k the PR-4 grid had already removed the O(N) "
-                    "receiver scan from the hot path; the shared MAC/PHY/"
-                    "AODV delivery work (~36 deliveries per transmission at "
-                    "this density) bounds any index-only gain, so the "
-                    "vs-rebuild ratio is modest while the vs-scan ratio "
-                    "grows with N. The incremental index's decisive wins "
-                    "are O(N) memory (rebuild's link cache is O(N^2): "
-                    "~2.4 GB at 10k) and the 10k run completing at all.",
+    "speedup_note": "the shared MAC/PHY/AODV delivery work (~36 deliveries "
+                    "per transmission at this density) bounds any "
+                    "index-only gain; the vs-scan ratio grows with N. The "
+                    "incremental index also keeps memory O(N), so the 10k "
+                    "run completes.",
 }
 json.dump(doc, open(out_path, "w"), indent=1)
 open(out_path, "a").write("\n")

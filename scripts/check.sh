@@ -64,29 +64,18 @@ echo "== perf smoke (ASan + UBSan) =="
     --benchmark_filter='BM_ScheduleAndPop/1024|BM_CancelChurnSteadyState' >/dev/null
 
 echo "== detection pipeline smoke (ASan + UBSan) =="
-# The batched SoA pipeline (the default) must match the per-view hub
-# pipeline and the private-per-monitor reference bit for bit on the
-# all-pairs workload, serially and across the engine's workers. (This is
-# the quick sanitized gate; bench/perf_pr8.sh is the full measurement
-# flow — degree-8 headline, all artifacts, BENCH_PR8.json.)
+# The batched SoA pipeline must give the same all-pairs artifact serially
+# and across the engine's workers. (Batch == private-per-monitor reference
+# on all-pairs is HubEquivalence.AllPairsBitIdenticalAndCountsNodes, which
+# the sanitized ctest run above covers.)
 ap_flags=(--loads=0.6 --pms=0,50 --sim_time=20 --runs=2)
 ./build-asan/bench/fig_allpairs_monitoring "${ap_flags[@]}" --threads=1 \
-    --monitor_impl=batch --json="$smoke_dir/ap_batch_t1.json" >/dev/null
+    --json="$smoke_dir/ap_batch_t1.json" >/dev/null
 ./build-asan/bench/fig_allpairs_monitoring "${ap_flags[@]}" --threads=4 \
-    --monitor_impl=batch --json="$smoke_dir/ap_batch_t4.json" >/dev/null
-./build-asan/bench/fig_allpairs_monitoring "${ap_flags[@]}" --threads=1 \
-    --monitor_impl=hub --json="$smoke_dir/ap_hub_t1.json" >/dev/null
-./build-asan/bench/fig_allpairs_monitoring "${ap_flags[@]}" --threads=1 \
-    --monitor_impl=reference --json="$smoke_dir/ap_ref_t1.json" >/dev/null
+    --json="$smoke_dir/ap_batch_t4.json" >/dev/null
 diff <(strip_timing "$smoke_dir/ap_batch_t1.json") \
      <(strip_timing "$smoke_dir/ap_batch_t4.json") \
   || { echo "all-pairs batch output differs across thread counts"; exit 1; }
-diff <(strip_timing "$smoke_dir/ap_batch_t1.json") \
-     <(strip_timing "$smoke_dir/ap_hub_t1.json") \
-  || { echo "all-pairs batch output differs from hub pipeline"; exit 1; }
-diff <(strip_timing "$smoke_dir/ap_batch_t1.json") \
-     <(strip_timing "$smoke_dir/ap_ref_t1.json") \
-  || { echo "all-pairs batch output differs from reference pipeline"; exit 1; }
 echo "== adversary zoo / ROC harness smoke (ASan + UBSan) =="
 # Every v2 attacker (colluding schedule, adaptive probation, sybil alias
 # plumbing, RTS flooder + gap bound) exercised under the sanitizers, and
@@ -104,7 +93,7 @@ diff <(strip_timing "$smoke_dir/roc_t1.json") \
   || { echo "ROC harness output differs across thread counts"; exit 1; }
 
 # Short pass over the detection micro benches: the batched lane dispatch,
-# window-accounting memo, and batched/scalar Wilcoxon under the sanitizers.
+# window-accounting memo, and scalar Wilcoxon under the sanitizers.
 ./build-asan/bench/micro_monitor --filter=allpairs_batch_4 --reps=0.5 \
     >/dev/null
 ./build-asan/bench/micro_wilcoxon --filter=_n10 --reps=0.02 >/dev/null
@@ -133,7 +122,7 @@ diff "$smoke_dir/live_mobile.txt" "$smoke_dir/replay_mobile.txt" \
   || { echo "mobile-handoff replay differs from the live run"; exit 1; }
 
 # Short pass over the trace codec and replay ingest loop (CRC framing,
-# event decode, batched hub consume) under the sanitizers.
+# event decode, hub consume into the batch) under the sanitizers.
 ./build-asan/bench/micro_ingest \
     --filter=replay_batch_wilcoxon --reps=0.1 >/dev/null
 
@@ -200,7 +189,7 @@ echo "== scale kernel smoke (ASan + UBSan) =="
 # the predicted-position prefilter, the parked-pair cache, and the
 # timeline hard budgets all run instrumented.
 ./build-asan/bench/fig_scale_sweep --nodes=1000 --sim_time=2 \
-    --index=incremental --cache_stats=1 \
+    --index=auto --cache_stats=1 \
     --json="$smoke_dir/scale_1k.json" >/dev/null
 grep -q '^{' "$smoke_dir/scale_1k.json" \
   || { echo "empty JSON sink output: scale_1k.json"; exit 1; }
@@ -213,7 +202,7 @@ strip_scale() {
           s/"index": "[a-z]+", //' "$1"
 }
 scale_flags=(--nodes=400 --sim_time=3 --seed=7)
-./build-asan/bench/fig_scale_sweep "${scale_flags[@]}" --index=incremental \
+./build-asan/bench/fig_scale_sweep "${scale_flags[@]}" --index=auto \
     --json="$smoke_dir/scale_inc.json" >/dev/null
 ./build-asan/bench/fig_scale_sweep "${scale_flags[@]}" --index=scan \
     --json="$smoke_dir/scale_scan.json" >/dev/null

@@ -136,7 +136,14 @@ CondProbResult run_cond_prob_experiment(const CondProbConfig& config) {
   return result;
 }
 
-MultiDetectionResult run_multi_detection_experiment(const MultiDetectionConfig& config) {
+namespace {
+
+/// One multi-monitor simulation. Production builds one MonitorBatch per
+/// monitoring node; `private_hubs` instead gives every monitor its own
+/// ObservationHub — the oracle layout behind
+/// run_multi_detection_reference().
+MultiDetectionResult run_multi_detection(const MultiDetectionConfig& config,
+                                         bool private_hubs) {
   if (config.monitors.empty()) {
     throw std::invalid_argument("need at least one monitor configuration");
   }
@@ -234,14 +241,13 @@ MultiDetectionResult run_multi_detection_experiment(const MultiDetectionConfig& 
   // Monitors are created lazily per monitoring node: one instance per
   // (configuration, target identity) — config-major, so view ci*T+ti is
   // configuration ci watching target ti — activated/deactivated together.
-  // Under kBatch they are facade lanes of one MonitorBatch per node; under
-  // kHub, views over one ObservationHub per node; under kReference each
-  // gets a private hub (structurally the pre-hub pipeline — the
-  // equivalence/benchmark oracle). Readout iterates `monitor_order`
-  // (creation order) so window logs are deterministic.
+  // They are facade lanes of one MonitorBatch per node, or, under
+  // `private_hubs`, monitors that each own a hub (the equivalence
+  // oracle). Readout iterates `monitor_order` (creation order) so window
+  // logs are deterministic.
   struct NodeMonitors {
-    std::unique_ptr<ObservationHub> hub;    // null under kReference
-    std::unique_ptr<MonitorBatch> batch;    // null unless kBatch
+    std::unique_ptr<ObservationHub> hub;    // null under private_hubs
+    std::unique_ptr<MonitorBatch> batch;    // null under private_hubs
     std::vector<std::unique_ptr<Monitor>> views;
   };
   std::unordered_map<NodeId, NodeMonitors> monitors;
@@ -251,16 +257,13 @@ MultiDetectionResult run_multi_detection_experiment(const MultiDetectionConfig& 
     if (it == monitors.end()) {
       NodeMonitors set;
       set.views.reserve(config.monitors.size() * targets.size());
-      if (config.pipeline != PipelineImpl::kReference) {
+      if (!private_hubs) {
         set.hub = std::make_unique<ObservationHub>(
             net.simulator(), net.mac(node), net.timeline(node));
-      }
-      if (config.pipeline == PipelineImpl::kBatch) {
         set.batch = std::make_unique<MonitorBatch>(*set.hub);
       }
       MonitorFactory factory =
           set.batch ? MonitorFactory(*set.batch)
-          : set.hub ? MonitorFactory(*set.hub)
                     : MonitorFactory(net.simulator(), net.mac(node),
                                      net.timeline(node));
       for (const MonitorConfig& mc : config.monitors) {
@@ -406,6 +409,16 @@ MultiDetectionResult run_multi_detection_experiment(const MultiDetectionConfig& 
     out.handoffs = result.handoffs;
   }
   return result;
+}
+
+}  // namespace
+
+MultiDetectionResult run_multi_detection_experiment(const MultiDetectionConfig& config) {
+  return run_multi_detection(config, /*private_hubs=*/false);
+}
+
+MultiDetectionResult run_multi_detection_reference(const MultiDetectionConfig& config) {
+  return run_multi_detection(config, /*private_hubs=*/true);
 }
 
 MultiDetectionResult run_multi_detection_trials(const MultiDetectionConfig& config,

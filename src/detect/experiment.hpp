@@ -10,6 +10,10 @@
 //    windows that flag S. With mobility the monitoring role (and S's flow)
 //    is handed to a fresh one-hop neighbor whenever the current monitor
 //    drifts out of range, as in the paper.
+//
+// Detection has one production path: every monitoring node runs its
+// monitors as the lanes of one MonitorBatch. run_multi_detection_reference
+// is the oracle the equivalence tests compare it against.
 #pragma once
 
 #include <cstdint>
@@ -99,7 +103,7 @@ struct DetectionResult {
   std::uint64_t flagged_statistical = 0;    // Wilcoxon rejections only
   /// Every post-warmup WindowResult, in monitor-creation then trial order
   /// (only when MultiDetectionConfig::collect_windows; equivalence tests
-  /// compare these sequences element-wise across pipeline variants).
+  /// compare these sequences element-wise against the reference oracle).
   std::vector<WindowResult> window_log;
   /// The same decision stream split per trial, in trial order (filled by
   /// the trials/sweep entry points under collect_windows). The ROC/TTD
@@ -151,19 +155,10 @@ struct MultiDetectionConfig {
   SimDuration handoff_period = 500 * kMillisecond;
   /// Every node within transmission range of the tagged node at t=0 runs
   /// the full monitor set (instead of only the nearest neighbor) — the
-  /// scaling workload: one shared ObservationHub per monitoring node.
+  /// scaling workload: one MonitorBatch per monitoring node.
   /// Incompatible with mobile_handoff (the handoff protocol assumes a
   /// single monitoring role to move around).
   bool all_pairs = false;
-  /// Which detection pipeline runs the monitor set (results are
-  /// bit-identical across all three):
-  ///  * kBatch (default) — one MonitorBatch per monitoring node: monitors
-  ///    are SoA lanes grouped by shared config over one ObservationHub.
-  ///  * kHub — every monitor is its own HubView over one shared
-  ///    ObservationHub per node (the PR 5 pipeline).
-  ///  * kReference — every monitor owns a private hub: structurally the
-  ///    pre-hub pipeline, the equivalence oracle and perf baseline.
-  PipelineImpl pipeline = PipelineImpl::kBatch;
   /// Fill DetectionResult::window_log (off by default: sweeps only need
   /// the aggregate counters).
   bool collect_windows = false;
@@ -188,7 +183,16 @@ struct MultiDetectionResult {
   double wall_seconds = 0.0;  // summed over trials; not deterministic
 };
 
+/// Runs ONE simulation; every monitoring node's monitor set is the lanes
+/// of one MonitorBatch (monitor_batch.hpp).
 MultiDetectionResult run_multi_detection_experiment(const MultiDetectionConfig& config);
+
+/// Test oracle: the same simulation with every monitor owning a private
+/// ObservationHub and evaluating each frame itself — no shared state, no
+/// batching. Bit-identical to run_multi_detection_experiment (the
+/// equivalence tests hold this) and far slower on dense monitor sets, so
+/// nothing but the tests runs it.
+MultiDetectionResult run_multi_detection_reference(const MultiDetectionConfig& config);
 
 /// Aggregates `runs` independent multi-monitor trials (seed = base + i)
 /// executed across the engine's workers; bit-identical to a serial run.

@@ -4,27 +4,9 @@
 #include <numbers>
 
 #include "detect/monitor_batch.hpp"
-#include "util/config.hpp"
 #include "util/stats.hpp"
 
 namespace manet::detect {
-
-PipelineImpl pipeline_from_name(const std::string& name) {
-  if (name == "batch") return PipelineImpl::kBatch;
-  if (name == "hub") return PipelineImpl::kHub;
-  if (name == "reference") return PipelineImpl::kReference;
-  throw util::ConfigError("'" + name +
-                          "' is not a pipeline (batch, hub, reference)");
-}
-
-const char* pipeline_name(PipelineImpl impl) {
-  switch (impl) {
-    case PipelineImpl::kReference: return "reference";
-    case PipelineImpl::kHub: return "hub";
-    case PipelineImpl::kBatch: return "batch";
-  }
-  return "?";
-}
 
 Monitor::Monitor(ObservationHub& hub, NodeId tagged, const MonitorConfig& config)
     : hub_(hub),
@@ -485,7 +467,6 @@ void Monitor::close_window() {
 
 std::unique_ptr<Monitor> MonitorFactory::watch(NodeId tagged) const {
   if (batch_) return std::make_unique<Monitor>(*batch_, tagged, config_);
-  if (hub_) return std::make_unique<Monitor>(*hub_, tagged, config_);
   auto owned = std::make_unique<ObservationHub>(*sim_, *mac_, *timeline_);
   return std::unique_ptr<Monitor>(
       new Monitor(std::move(owned), tagged, config_));

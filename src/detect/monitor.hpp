@@ -26,18 +26,17 @@
 //     asks whether y is stochastically smaller than x by more than the
 //     permissible margin; p < alpha rejects H0 ("S is well behaved").
 //
-// Monitors are views over a per-node ObservationHub: the decoded-frame
-// ring, density estimator, and ARMA tracker live in the hub and are shared
-// by every monitor on the node whose config knobs match (see
-// observation_hub.hpp for the exact sharing rules). In the batched layout
-// (monitor_batch.hpp, the default pipeline) a Monitor is a thin facade
-// over a MonitorBatch lane; MonitorFactory picks the layout.
+// Production runs one MonitorBatch per monitoring node (monitor_batch.hpp):
+// there a Monitor is a thin facade over a batch lane. The other layout is
+// the oracle: a Monitor that owns a private ObservationHub (the
+// decoded-frame ring, density estimator, and ARMA tracker) and evaluates
+// every frame itself. MonitorFactory picks the layout; the two produce
+// bit-identical results (tests/hub_test.cpp).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -54,21 +53,6 @@
 namespace manet::detect {
 
 class MonitorBatch;  // detect/monitor_batch.hpp
-
-/// Detection pipeline layouts the harnesses can run. All three produce
-/// bit-identical results (perf_pr8.sh byte-diffs the artifacts):
-///  * kBatch — monitors are lanes of a per-node MonitorBatch: one
-///    evaluation per (node, tagged, config-group), SoA fan-out, batched
-///    statistics (monitor_batch.hpp). The default.
-///  * kHub — every monitor is its own HubView over the node's shared
-///    ObservationHub (the PR-5 pipeline).
-///  * kReference — every monitor owns a private hub: structurally the
-///    pre-hub pipeline, the equivalence oracle and perf baseline.
-enum class PipelineImpl : std::uint8_t { kReference, kHub, kBatch };
-
-/// Parse "batch" / "hub" / "reference" (throws util::ConfigError).
-PipelineImpl pipeline_from_name(const std::string& name);
-const char* pipeline_name(PipelineImpl impl);
 
 struct MonitorConfig {
   std::size_t sample_size = 10;    // Wilcoxon window (paper: 10/25/50/100)
@@ -314,8 +298,7 @@ class Monitor : public HubView {
   friend class MonitorFactory;
 
   /// Delegation target for the private-hub layout (MonitorFactory's
-  /// standalone mode and the deprecated ctor): binds to *owned, then
-  /// takes ownership.
+  /// standalone mode): binds to *owned, then takes ownership.
   Monitor(std::unique_ptr<ObservationHub> owned, NodeId tagged,
           const MonitorConfig& config);
 
@@ -392,23 +375,17 @@ class Monitor : public HubView {
 };
 
 /// Builder for monitors: one place to choose the observation layout and
-/// stamp out per-neighbor views with a shared config.
+/// stamp out per-neighbor monitors with a shared config.
 ///
-///   * Batched mode (the default pipeline): every watch() registers a lane
-///     in the given MonitorBatch and returns a facade Monitor over it.
-///   * Shared-hub mode: every watch() attaches a view to the given
-///     ObservationHub — live or replay, the factory does not care where
-///     the hub's events come from.
+///   * Batched mode (production): every watch() registers a lane in the
+///     given MonitorBatch and returns a facade Monitor over it.
 ///   * Standalone mode: every watch() owns a private ObservationHub over
-///     the node's MAC/timeline — structurally the pre-hub pipeline, kept
-///     as the equivalence-test reference and perf baseline.
+///     the node's MAC/timeline — the equivalence-test oracle, and the
+///     simplest way to put one monitor on a hand-built network.
 class MonitorFactory {
  public:
   /// Batched mode: facade monitors over `batch`'s SoA lanes.
   explicit MonitorFactory(MonitorBatch& batch) : batch_(&batch) {}
-
-  /// Shared-hub mode: views over `hub`.
-  explicit MonitorFactory(ObservationHub& hub) : hub_(&hub) {}
 
   /// Standalone mode: a private hub per monitor on this node.
   MonitorFactory(sim::Simulator& simulator, mac::DcfMac& monitor_mac,
@@ -433,7 +410,6 @@ class MonitorFactory {
 
  private:
   MonitorBatch* batch_ = nullptr;
-  ObservationHub* hub_ = nullptr;
   sim::Simulator* sim_ = nullptr;
   mac::DcfMac* mac_ = nullptr;
   phy::CsTimeline* timeline_ = nullptr;

@@ -385,11 +385,10 @@ HeardTransmitterDensity& MonitorBatch::lane_density(std::size_t lane) const {
   return *lane_group_[lane]->density_;
 }
 
-// --- Fan-out + batched window close ------------------------------------------
+// --- Fan-out + window close --------------------------------------------------
 
 void MonitorBatch::apply_outcome(Group& group, const RtsOutcome& o) {
   const SimTime now = hub_.simulator().now();
-  due_lanes_.clear();
   for (const std::size_t lane : group.lanes_) {
     if (lane_active_[lane] == 0) continue;
     MonitorStats& st = lane_stats_[lane];
@@ -425,7 +424,6 @@ void MonitorBatch::apply_outcome(Group& group, const RtsOutcome& o) {
       add_sample(lane, expected, o.observed_norm);
     }
   }
-  if (!due_lanes_.empty()) close_due_windows();
 }
 
 void MonitorBatch::add_sample(std::size_t lane, double expected,
@@ -452,7 +450,7 @@ void MonitorBatch::add_sample(std::size_t lane, double expected,
   xs_arena_[offset + fill] = expected;
   ys_arena_[offset + fill] = observed;
   ++fill;
-  if (fill >= lane_sample_size_[lane]) due_lanes_.push_back(lane);
+  if (fill >= lane_sample_size_[lane]) close_window(lane);
 }
 
 void MonitorBatch::close_sequential(std::size_t lane, bool crossed,
@@ -467,34 +465,25 @@ void MonitorBatch::close_sequential(std::size_t lane, bool crossed,
   lane_window_flag_[lane] = 0;
 }
 
-void MonitorBatch::close_due_windows() {
-  const SimTime now = hub_.simulator().now();
-  batch_items_.clear();
-  for (const std::size_t lane : due_lanes_) {
-    WilcoxonBatchItem item;
-    const std::size_t offset = lane_off_[lane];
-    const std::size_t n = lane_fill_[lane];
-    item.x = std::span<const double>(xs_arena_.data() + offset, n);
-    item.y = std::span<const double>(ys_arena_.data() + offset, n);
-    item.shift = lane_margin_[lane];
-    item.options = lane_wilcoxon_[lane];
-    batch_items_.push_back(item);
-  }
-  batch_results_.resize(batch_items_.size());
-  wilcoxon_rank_sum_batch(batch_items_, batch_results_, wilcoxon_scratch_);
+void MonitorBatch::close_window(std::size_t lane) {
+  WindowResult result;
+  result.at = hub_.simulator().now();
+  result.deterministic_flag = lane_window_flag_[lane] != 0;
 
-  for (std::size_t i = 0; i < due_lanes_.size(); ++i) {
-    const std::size_t lane = due_lanes_[i];
-    WindowResult result;
-    result.at = now;
-    result.deterministic_flag = lane_window_flag_[lane] != 0;
-    result.p_less = batch_results_[i].p_less;
-    result.statistical_flag = result.p_less < lane_alpha_[lane];
-    record_window(lane, result);
-    lane_fill_[lane] = 0;
-    lane_window_flag_[lane] = 0;
-  }
-  due_lanes_.clear();
+  // Monitor::close_window's margin shift, into a reused buffer.
+  const std::size_t offset = lane_off_[lane];
+  const std::size_t n = lane_fill_[lane];
+  shifted_.assign(ys_arena_.begin() + offset, ys_arena_.begin() + offset + n);
+  for (double& v : shifted_) v += lane_margin_[lane];
+
+  const RankSumResult test = wilcoxon_rank_sum(
+      std::span<const double>(xs_arena_.data() + offset, n), shifted_,
+      lane_wilcoxon_[lane], wilcoxon_scratch_);
+  result.p_less = test.p_less;
+  result.statistical_flag = test.p_less < lane_alpha_[lane];
+  record_window(lane, result);
+  lane_fill_[lane] = 0;
+  lane_window_flag_[lane] = 0;
 }
 
 void MonitorBatch::record_window(std::size_t lane, const WindowResult& result,

@@ -1,8 +1,8 @@
 // Batched struct-of-arrays detection core — one pass per node.
 //
-// The per-view pipeline (Monitor as a HubView) re-derives, for every
-// monitor on a node, quantities that depend only on the node's shared
-// observation state: the RTS deterministic checks, the window's
+// A Monitor that evaluates frames itself (the oracle layout) re-derives,
+// for every monitor on a node, quantities that depend only on the node's
+// shared observation state: the RTS deterministic checks, the window's
 // CsTimeline/ring accounting, the SystemStateModel Eq. 1-5 conditional
 // probabilities, and the density/ARMA inputs. With M configurations
 // watching T tagged identities that is M*T near-identical passes per
@@ -25,17 +25,20 @@
 //    fill counts, sample arenas (one contiguous [offset, offset+capacity)
 //    slice of a shared buffer per Wilcoxon lane), test thresholds,
 //    detector state (a SequentialBank slot per CUSUM/SPRT lane), stats and
-//    window logs. Lanes that fill on the same RTS close together through
-//    wilcoxon_rank_sum_batch over one shared scratch.
+//    window logs. A Wilcoxon lane closes its window the moment it fills,
+//    with the scalar wilcoxon_rank_sum over one scratch shared by all
+//    lanes — the same call Monitor::close_window makes.
 //
-// Equivalence contract: every per-lane output stream (WindowResult
-// sequence, MonitorStats, sample log) is bit-identical to the same
-// monitor running as its own HubView or with a private hub
-// (tests/hub_test.cpp sweeps seeds and scenarios over all three
-// pipelines). The same caveat as hub component sharing applies: lanes of
-// one group must be activated/deactivated together (the experiment
-// harness always toggles a node's monitor set as a unit); diverging
-// activity within a group is unsupported.
+// MonitorBatch is the production detection path: the live experiments
+// and the trace replay build one per monitoring node. Equivalence
+// contract: every per-lane output stream (WindowResult sequence,
+// MonitorStats, sample log) is bit-identical to the same monitor running
+// as a Monitor view over its own private hub — the oracle layout that
+// run_multi_detection_reference() builds (tests/hub_test.cpp sweeps seeds
+// and scenarios over both). The same caveat as hub component sharing
+// applies: lanes of one group must be activated/deactivated together (the
+// experiment harness always toggles a node's monitor set as a unit);
+// diverging activity within a group is unsupported.
 #pragma once
 
 #include <cstddef>
@@ -202,11 +205,11 @@ class MonitorBatch {
 
   Group& group_for(NodeId tagged, const MonitorConfig& config);
 
-  /// Fans one evaluated RTS out to the group's lanes, then closes every
-  /// Wilcoxon lane whose window filled on this sample in one batched call.
+  /// Fans one evaluated RTS out to the group's lanes.
   void apply_outcome(Group& group, const RtsOutcome& outcome);
+  /// Appends a sample to the lane's window and closes it when full.
   void add_sample(std::size_t lane, double expected, double observed);
-  void close_due_windows();
+  void close_window(std::size_t lane);
   void close_sequential(std::size_t lane, bool crossed, double score);
   void record_window(std::size_t lane, const WindowResult& result,
                      bool single_shot = false);
@@ -240,10 +243,9 @@ class MonitorBatch {
 
   SequentialBank seq_bank_;
 
-  // Batched window-close scratch (reused; steady state allocates nothing).
-  std::vector<std::size_t> due_lanes_;
-  std::vector<WilcoxonBatchItem> batch_items_;
-  std::vector<RankSumResult> batch_results_;
+  // Window-close scratch shared by every lane (reused; steady state
+  // allocates nothing).
+  std::vector<double> shifted_;
   WilcoxonScratch wilcoxon_scratch_;
 };
 

@@ -1,7 +1,6 @@
 #include "detect/wilcoxon.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -240,39 +239,6 @@ RankSumResult wilcoxon_rank_sum(std::span<const double> x, std::span<const doubl
                                 const WilcoxonOptions& options) {
   WilcoxonScratch scratch;
   return wilcoxon_rank_sum(x, y, options, scratch);
-}
-
-void wilcoxon_rank_sum_batch(std::span<const WilcoxonBatchItem> items,
-                             std::span<RankSumResult> results,
-                             WilcoxonScratch& scratch) {
-  assert(results.size() == items.size());
-
-  // Schedule exact-path items first, smallest combined size first: the DP
-  // table is assign()ed per call with size proportional to the squared
-  // combined rank total, so ascending order keeps each assign a pure grow
-  // over warm memory. Approx items run last in caller order. stable_sort
-  // keeps equal-size exact items in caller order too — not needed for
-  // correctness (items are independent) but it keeps scheduling
-  // deterministic for profiling.
-  scratch.schedule.resize(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) scratch.schedule[i] = i;
-  std::stable_sort(scratch.schedule.begin(), scratch.schedule.end(),
-                   [&items](std::size_t a, std::size_t b) {
-                     const std::size_t na = items[a].x.size() + items[a].y.size();
-                     const std::size_t nb = items[b].x.size() + items[b].y.size();
-                     const bool ea = na <= items[a].options.exact_max_total;
-                     const bool eb = nb <= items[b].options.exact_max_total;
-                     if (ea != eb) return ea;
-                     return ea && na < nb;
-                   });
-
-  for (const std::size_t idx : scratch.schedule) {
-    const WilcoxonBatchItem& item = items[idx];
-    scratch.shifted.assign(item.y.begin(), item.y.end());
-    for (double& v : scratch.shifted) v += item.shift;
-    results[idx] =
-        wilcoxon_rank_sum(item.x, scratch.shifted, item.options, scratch);
-  }
 }
 
 RankSumResult wilcoxon_rank_sum_reference(std::span<const double> x,

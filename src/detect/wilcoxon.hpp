@@ -56,8 +56,6 @@ struct WilcoxonScratch {
   std::vector<double> dp;             // flat (ny+1) x (smax+1) subset counts
   std::vector<long long> min_sum;     // reachable doubled-sum bounds per
   std::vector<long long> max_sum;     //   subset size (DP row support)
-  std::vector<double> shifted;        // batch path: y + per-item shift
-  std::vector<std::size_t> schedule;  // batch path: item evaluation order
 };
 
 /// Requires nx >= 1 and ny >= 1. Reuses `scratch` across calls; results are
@@ -76,26 +74,5 @@ RankSumResult wilcoxon_rank_sum(std::span<const double> x, std::span<const doubl
 RankSumResult wilcoxon_rank_sum_reference(std::span<const double> x,
                                           std::span<const double> y,
                                           const WilcoxonOptions& options = {});
-
-/// One test of a batched close: compare `x` against `y + shift` (the
-/// monitor's margin shift, applied into scratch rather than by the caller
-/// so the batch stays allocation-free over span inputs).
-struct WilcoxonBatchItem {
-  std::span<const double> x;
-  std::span<const double> y;
-  double shift = 0.0;
-  WilcoxonOptions options;
-};
-
-/// Evaluates every item and writes results[i] for items[i]. Items are
-/// independent tests, so each result is bit-identical to the scalar
-/// wilcoxon_rank_sum(x, y + shift) call it replaces; internally the items
-/// are scheduled exact-DP first in ascending combined size (so the flat DP
-/// table and reachable-bound arrays grow monotonically instead of being
-/// re-assigned per size change), then approx items in caller order.
-/// `results` must have items.size() entries.
-void wilcoxon_rank_sum_batch(std::span<const WilcoxonBatchItem> items,
-                             std::span<RankSumResult> results,
-                             WilcoxonScratch& scratch);
 
 }  // namespace manet::detect

@@ -28,10 +28,6 @@ class StaticMobility : public phy::PositionProvider {
     return positions_.at(node);
   }
 
-  /// Positions never change: one epoch forever, so every link budget the
-  /// channel derives from them is cacheable for the whole run.
-  std::uint64_t position_epoch(NodeId, SimTime) const override { return 0; }
-  double max_speed_mps() const override { return 0.0; }
   bool piecewise_linear() const override { return true; }
 
   /// One zero-velocity segment covering all of time: the incremental
@@ -65,12 +61,6 @@ class RandomWaypoint : public phy::PositionProvider {
 
   geom::Vec2 position(NodeId node, SimTime at) const override;
 
-  /// A node parked at a waypoint (the pause phase of a leg) is stationary:
-  /// its epoch is stable until the next departure, letting the channel
-  /// reuse link budgets across the pause. While traveling the position
-  /// changes continuously, so the epoch reports kMovingEpoch.
-  std::uint64_t position_epoch(NodeId node, SimTime at) const override;
-  double max_speed_mps() const override { return params_.max_speed; }
   bool piecewise_linear() const override { return true; }
 
   /// The current travel or pause phase as one linear segment. Travel legs
@@ -92,7 +82,7 @@ class RandomWaypoint : public phy::PositionProvider {
   struct NodeState {
     util::Xoshiro256ss rng;
     Leg leg;
-    std::uint64_t leg_index = 0;  // feeds the pause-phase position epoch
+    std::uint64_t leg_index = 0;  // feeds the motion-segment epochs
   };
 
   void advance_to(NodeState& st, SimTime at) const;

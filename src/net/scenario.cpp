@@ -46,7 +46,7 @@ void ScenarioConfig::declare(util::Config& c) {
             "Receiver outages: node:start_s:stop_s[,node:start_s:stop_s...]");
   c.declare("fault_seed", "0", "Extra stream selector for the fault RNG");
   c.declare("channel_index", "auto",
-            "Channel receiver lookup: auto | incremental | rebuild | scan");
+            "Channel receiver lookup: auto | scan");
   c.declare("timeline_retention_s", "10",
             "Carrier-history retention horizon per node (s)");
   c.declare("timeline_max_transitions", "262144",

@@ -54,10 +54,9 @@ struct ScenarioConfig {
   double sim_seconds = 300.0;
   std::uint64_t seed = 1;
 
-  /// Channel receiver-lookup path: auto | incremental | rebuild | scan
-  /// (see phy::Channel::IndexMode). "auto" picks the incremental index for
-  /// piecewise-linear mobility at scale; "rebuild" pins the retained PR-4
-  /// kernel (the measurable pre-PR-9 baseline); "scan" is the reference.
+  /// Channel receiver-lookup path: auto | scan (see
+  /// phy::Channel::IndexMode). "auto" takes the incremental index for
+  /// piecewise-linear mobility; "scan" pins the full-scan oracle.
   std::string channel_index = "auto";
 
   /// Per-node carrier-history budget: age-based retention plus a hard

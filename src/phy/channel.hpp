@@ -7,36 +7,34 @@
 // the 550 m sensing range, small against the 20 us slot); this matches the
 // slot-synchronous abstraction of the paper's analysis.
 //
-// Three delivery paths share the exact same audibility decision (see
+// Two delivery paths share the exact same audibility decision (see
 // DESIGN.md §4e and §4j):
 //
-//  * kIncremental (the default at scale): a uniform grid whose cells are
-//    maintained event-wise — each radio carries a migration deadline (the
-//    time its current motion segment exits its cell, or the segment end),
-//    kept in a min-heap that is drained at the head of every transmission.
-//    Static radios never appear in the heap; a parked waypoint node costs
-//    one re-check per pause. Candidates from the 3x3 cell probe are then
-//    prefiltered by *predicted position*: each radio's motion segment is
-//    pinned (position, time) at its last rebucket, so ref + v*dt places it
+//  * The incremental index (the production path, every topology size): a
+//    uniform grid whose cells are maintained event-wise — each radio
+//    carries a migration deadline (the time its current motion segment
+//    exits its cell, or the segment end), kept in a min-heap that is
+//    drained at the head of every transmission. Static radios never
+//    appear in the heap; a parked waypoint node costs one re-check per
+//    pause. Candidates from the 3x3 cell probe are then prefiltered by
+//    *predicted position*: each radio's motion segment is pinned
+//    (position, time) at its last rebucket, so ref + v*dt places it
 //    exactly (up to FP rounding, absorbed by 1 m of slack) without a
 //    provider query — a far mover costs two fused multiply-adds. Pairs
 //    with both endpoints parked go through a bounded direct-mapped cache
 //    keyed by the endpoints' motion-segment epochs holding the exact link
-//    budget (as the PR-4 N*N cache did, at O(cache) memory).
-//  * kRebuild: the retained PR-4 path (staleness-bounded full grid
-//    rebuilds + N*N epoch-keyed link cache), kept verbatim as the
-//    measurable pre-PR-9 baseline and as the fast path for tiny
-//    topologies.
-//  * kFullScan: the original reference scan over every radio.
+//    budget.
+//  * The full scan over every radio: the oracle the index is checked
+//    against, and the only path when nothing bounds the motion (a
+//    provider that is not piecewise-linear) or when shadowing is on.
 //
-// All paths are exact (never approximate): grids and windows are
-// conservative superset filters, and the final audibility decision always
-// uses the same power comparison on the same position doubles, so results
-// are bit-identical across paths — including the fault-injector RNG
-// stream, which is consumed per audible delivery in attach order. With
-// shadowing enabled (sigma > 0) rx_power_dbm draws from the shadowing RNG
-// per delivery, so every optimization disables itself to preserve the
-// draw sequence.
+// Both paths are exact (never approximate): the grid is a conservative
+// superset filter, and the final audibility decision always uses the same
+// power comparison on the same position doubles, so results are
+// bit-identical across paths — including the fault-injector RNG stream,
+// which is consumed per audible delivery in attach order. With shadowing
+// enabled (sigma > 0) rx_power_dbm draws from the shadowing RNG per
+// delivery, so the index disables itself to preserve the draw sequence.
 #pragma once
 
 #include <cstdint>
@@ -57,14 +55,14 @@ class Radio;
 
 class Channel {
  public:
-  /// How transmissions find their audible receivers. kAuto picks
-  /// kIncremental for piecewise-linear providers above the tiny-topology
-  /// cutoff, kRebuild otherwise, and kFullScan when nothing can bound the
-  /// motion. Shadowing always forces kFullScan regardless of the setting.
-  enum class IndexMode : std::uint8_t { kAuto, kIncremental, kRebuild, kFullScan };
+  /// How transmissions find their audible receivers. kAuto takes the
+  /// incremental index for piecewise-linear providers and the full scan
+  /// otherwise; kFullScan pins the scan (the oracle). Shadowing always
+  /// forces kFullScan regardless of the setting.
+  enum class IndexMode : std::uint8_t { kAuto, kFullScan };
 
-  /// Parses "auto" / "incremental" / "rebuild" / "scan"; throws
-  /// std::invalid_argument on anything else.
+  /// Parses "auto" / "scan"; throws std::invalid_argument on anything
+  /// else.
   static IndexMode parse_index_mode(std::string_view name);
   static const char* index_mode_name(IndexMode mode);
 
@@ -92,12 +90,6 @@ class Channel {
   void set_index_mode(IndexMode mode) { index_mode_ = mode; }
   IndexMode index_mode() const { return index_mode_; }
 
-  /// Test hook kept from PR 4: disabling the index forces the reference
-  /// full-scan path; re-enabling restores automatic mode selection.
-  void set_spatial_index_enabled(bool enabled) {
-    index_mode_ = enabled ? IndexMode::kAuto : IndexMode::kFullScan;
-  }
-
   /// Exact neighbor query off the incremental grid: fills `out` with the
   /// ids of attached radios (center excluded) whose positions lie within
   /// `range_m` of center's position, ascending by id — byte-identical to
@@ -110,7 +102,6 @@ class Channel {
   struct CacheStats {
     std::uint64_t link_budget_hits = 0;    // exact cached power reused
     std::uint64_t link_budget_misses = 0;  // power computed from positions
-    std::uint64_t grid_rebuilds = 0;       // kRebuild full passes
     std::uint64_t full_scans = 0;  // transmissions served by the slow path
     // Incremental index:
     std::uint64_t cell_migrations = 0;   // radio re-bucketed to a new cell
@@ -126,12 +117,6 @@ class Channel {
   std::size_t index_memory_bytes() const;
 
  private:
-  struct LinkCacheEntry {
-    std::uint64_t tx_epoch = kMovingEpoch;  // kMovingEpoch == invalid
-    std::uint64_t rx_epoch = kMovingEpoch;
-    double power_dbm = 0.0;
-  };
-
   /// Per-radio incremental-index state: current cell, current motion
   /// segment, and the next deadline at which the cell must be re-checked
   /// (kTimeNever for static radios — they never re-enter the heap).
@@ -168,16 +153,9 @@ class Channel {
   /// the position would overflow 32-bit cell indexing.
   std::int32_t cell_coord(double v) const;
 
-  IndexMode effective_mode() const;
+  /// True when transmit() may take the incremental index.
+  bool use_index() const;
 
-  // --- kRebuild path (retained PR-4 kernel) ---
-  void maybe_rebuild_grid(SimTime now);
-  void collect_candidates(const geom::Vec2& tx_pos,
-                          std::vector<std::uint32_t>& out) const;
-  double link_power(std::uint32_t tx_idx, std::uint32_t rx_idx,
-                    std::uint64_t tx_epoch, const geom::Vec2& tx_pos, SimTime at);
-
-  // --- kIncremental path ---
   /// (Re)builds the incremental structures when the radio set changed.
   void ensure_incremental(SimTime now);
   /// Processes every migration deadline <= now, re-bucketing radios whose
@@ -187,7 +165,7 @@ class Channel {
   SimTime next_due(const MotionState& m, std::int32_t cx, std::int32_t cy,
                    SimTime now) const;
   void heap_push(SimTime due, std::uint32_t idx);
-  void collect_candidates_incremental(const geom::Vec2& tx_pos,
+  void collect_candidates(const geom::Vec2& tx_pos,
                                       std::vector<std::uint32_t>& out) const;
   /// Decides pair audibility through the pair cache. Returns false when
   /// the pair is provably inaudible (no power computed); otherwise sets
@@ -205,22 +183,12 @@ class Channel {
   std::uint64_t next_signal_id_ = 1;
   IndexMode index_mode_ = IndexMode::kAuto;
 
-  // kRebuild spatial index (valid when grid_radios_ == radios_.size()).
-  double cell_m_ = 0.0;
-  double slack_m_ = 0.0;
-  double prefilter_limit_sq_ = 0.0;
-  SimTime grid_built_at_ = 0;
-  std::size_t grid_radios_ = 0;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> grid_;
-  std::vector<geom::Vec2> grid_pos_;              // per radio, at rebuild time
-  std::vector<LinkCacheEntry> link_cache_;        // N*N, row = tx attach index
-
-  // kIncremental spatial index (valid when inc_radios_ == radios_.size()).
-  double inc_cell_m_ = 0.0;        // cs_range + pad: cell size
-  double predict_limit_sq_ = 0.0;  // (inc_cell_m_ + 1 m FP slack)^2
-  std::size_t inc_radios_ = 0;
+  // Incremental spatial index (valid when indexed_radios_ == radios_.size()).
+  double cell_m_ = 0.0;            // cs_range + pad: cell size
+  double predict_limit_sq_ = 0.0;  // (cell_m_ + 1 m FP slack)^2
+  std::size_t indexed_radios_ = 0;
   std::vector<RadioMotion> cells_;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> inc_grid_;
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> grid_;
   // Min-heap of (due, radio index): the activity set. Only radios whose
   // motion can invalidate their bucket carry an entry; each radio has at
   // most one live entry (rebucket pops before pushing).

@@ -1,7 +1,7 @@
 // Adversary zoo v2 (src/mac/attackers.*) unit tests plus the experiment
 // harness guarantees the ROC scoring relies on: every attacker is
-// deterministic given the scenario seed, bit-identical between the shared
-// ObservationHub and the private-hub reference pipeline, and the
+// deterministic given the scenario seed, bit-identical between the
+// batched production pipeline and the private-hub reference, and the
 // first-flag counters / RTS-gap bound behave as documented.
 #include <gtest/gtest.h>
 
@@ -241,13 +241,9 @@ TEST(AttackerExperiments, SameSeedSameTracePerAttacker) {
 
 TEST(AttackerExperiments, AllPipelinesMatchPerAttacker) {
   for (AttackerKind kind : kZooKinds) {
-    auto cfg = zoo_config(kind, 23);
-    cfg.pipeline = PipelineImpl::kReference;
-    const auto ref = run_multi_detection_experiment(cfg);
-    cfg.pipeline = PipelineImpl::kHub;
-    expect_identical(run_multi_detection_experiment(cfg), ref, kind);
-    cfg.pipeline = PipelineImpl::kBatch;
-    expect_identical(run_multi_detection_experiment(cfg), ref, kind);
+    const auto cfg = zoo_config(kind, 23);
+    expect_identical(run_multi_detection_experiment(cfg),
+                     run_multi_detection_reference(cfg), kind);
   }
 }
 

@@ -381,60 +381,6 @@ TEST(Wilcoxon, ScratchReuseMatchesReferenceBitForBit) {
   }
 }
 
-TEST(Wilcoxon, BatchMatchesScalarBitForBit) {
-  // wilcoxon_rank_sum_batch reorders evaluation (exact-DP items first,
-  // ascending size) and applies the margin shift into shared scratch, but
-  // each item is an independent test: results[i] must equal the scalar
-  // wilcoxon_rank_sum(x_i, y_i + shift_i) call it replaces, field for
-  // field, under heavy scratch reuse across mixed exact/approx sizes.
-  util::Xoshiro256ss rng(123);
-  WilcoxonScratch batch_scratch;
-  WilcoxonScratch scalar_scratch;
-  for (int round = 0; round < 10; ++round) {
-    const std::size_t sizes[][2] = {{25, 25}, {3, 5},  {10, 10}, {1, 1},
-                                    {50, 50}, {7, 33}, {20, 20}};
-    std::vector<std::vector<double>> xs, ys;
-    std::vector<WilcoxonBatchItem> items;
-    std::vector<double> shifts;
-    for (const auto& s : sizes) {
-      std::vector<double> x, y;
-      const bool quantize = (round % 3) != 0;
-      for (std::size_t i = 0; i < s[0]; ++i) {
-        const double v = rng.uniform(0, 16);
-        x.push_back(quantize ? std::floor(v) : v);
-      }
-      for (std::size_t i = 0; i < s[1]; ++i) {
-        const double v = rng.uniform(0, 16) * 0.8;
-        y.push_back(quantize ? std::floor(v) : v);
-      }
-      xs.push_back(std::move(x));
-      ys.push_back(std::move(y));
-      shifts.push_back(rng.uniform(0, 0.25));
-    }
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      WilcoxonBatchItem item;
-      item.x = xs[i];
-      item.y = ys[i];
-      item.shift = shifts[i];
-      items.push_back(item);
-    }
-    std::vector<RankSumResult> results(items.size());
-    wilcoxon_rank_sum_batch(items, results, batch_scratch);
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      std::vector<double> shifted(ys[i]);
-      for (double& v : shifted) v += shifts[i];
-      const auto ref =
-          wilcoxon_rank_sum(xs[i], shifted, WilcoxonOptions{}, scalar_scratch);
-      EXPECT_EQ(results[i].exact, ref.exact) << "item " << i;
-      EXPECT_EQ(results[i].w_y, ref.w_y) << "item " << i;
-      EXPECT_EQ(results[i].p_less, ref.p_less) << "item " << i;
-      EXPECT_EQ(results[i].p_greater, ref.p_greater) << "item " << i;
-      EXPECT_EQ(results[i].p_two_sided, ref.p_two_sided) << "item " << i;
-      EXPECT_EQ(results[i].z, ref.z) << "item " << i;
-    }
-  }
-}
-
 // --- Monitor end-to-end on a bare PHY -----------------------------------------
 
 struct FixedPositions : phy::PositionProvider {

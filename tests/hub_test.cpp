@@ -1,11 +1,10 @@
 // Equivalence and sharing tests for the per-node ObservationHub
 // (src/detect/observation_hub.*) and the batched SoA pipeline
 // (src/detect/monitor_batch.*). Both are pure refactors plus
-// memoization: a monitor set running as batch lanes or as shared-hub
-// views must produce WindowResult sequences and MonitorStats
-// bit-identical to private per-monitor state
-// (MultiDetectionConfig::pipeline = kReference, structurally the pre-hub
-// pipeline), across static, mobile-handoff, lossy, all-pairs, and
+// memoization: a monitor set running as batch lanes must produce
+// WindowResult sequences and MonitorStats bit-identical to private
+// per-monitor state (run_multi_detection_reference, every monitor over
+// its own hub), across static, mobile-handoff, lossy, all-pairs, and
 // sybil multi-identity scenarios and across seeds.
 #include <gtest/gtest.h>
 
@@ -75,17 +74,12 @@ void expect_identical_results(const MultiDetectionResult& got,
   }
 }
 
-/// Runs `cfg` under all three pipelines (batch lanes, per-monitor hub
-/// views, private per-monitor hubs) and asserts every deterministic
-/// output matches the reference exactly.
+/// Runs `cfg` as batch lanes and as private per-monitor hubs and asserts
+/// every deterministic output matches the reference exactly.
 void expect_hub_matches_reference(MultiDetectionConfig cfg) {
   cfg.collect_windows = true;
-  cfg.pipeline = PipelineImpl::kReference;
-  const auto ref = run_multi_detection_experiment(cfg);
-  cfg.pipeline = PipelineImpl::kHub;
-  expect_identical_results(run_multi_detection_experiment(cfg), ref, "hub");
-  cfg.pipeline = PipelineImpl::kBatch;
-  expect_identical_results(run_multi_detection_experiment(cfg), ref, "batch");
+  expect_identical_results(run_multi_detection_experiment(cfg),
+                           run_multi_detection_reference(cfg), "batch");
 }
 
 TEST(HubEquivalence, StaticGridBitIdenticalAcrossSeeds) {
@@ -123,7 +117,6 @@ TEST(HubEquivalence, AllPairsBitIdenticalAndCountsNodes) {
   cfg.all_pairs = true;
   expect_hub_matches_reference(cfg);
 
-  cfg.pipeline = PipelineImpl::kBatch;
   const auto result = run_multi_detection_experiment(cfg);
   // The 3x4 grid center has in-range orthogonal neighbors on all sides.
   EXPECT_GE(result.monitor_nodes, 3u);
@@ -132,7 +125,7 @@ TEST(HubEquivalence, AllPairsBitIdenticalAndCountsNodes) {
 
 TEST(HubEquivalence, SybilMultiIdentityBitIdentical) {
   // Sybil attackers spread violations across fake identities, so the
-  // harness monitors several targets per node — under kBatch each target
+  // harness monitors several targets per node — in the batch each target
   // is its own config-group; the fan-out bookkeeping must not leak
   // between identities.
   MultiDetectionConfig cfg = base_config(30, 29);
@@ -253,18 +246,6 @@ TEST(Hub, FactoryStandaloneMatchesLegacyLayout) {
   EXPECT_EQ(m->hub().view_count(), 1u);
   EXPECT_NE(&m->hub(), &f.hub);
   EXPECT_EQ(m->self(), 1u);  // the fixture's MAC is node 1
-}
-
-TEST(Hub, FactorySharedModeStampsViews) {
-  HubFixture f;
-  MonitorFactory factory(f.hub);
-  factory.with_config(small_monitor());
-  const auto a = factory.watch(0);
-  MonitorConfig other = small_monitor();
-  other.sample_size = 25;
-  const auto b = factory.watch(0, other);
-  EXPECT_EQ(f.hub.view_count(), 2u);
-  EXPECT_EQ(f.hub.ring_count(), 1u);  // knobs equal -> shared ring
 }
 
 // --- Batch config-grouping --------------------------------------------------

@@ -391,8 +391,9 @@ TEST(Monitor, DecodedHistoryStaysBounded) {
 // same deliveries, same per-receiver order (the fault injector draws one RNG
 // decision per delivered frame, so any reordering or dropped receiver shifts
 // the whole fault schedule), same carrier edges. We run the identical
-// impaired scenario with the index on and off and require identical traces
-// and identical fault-RNG consumption.
+// impaired scenario on the incremental index (IndexMode::kAuto) and on the
+// full scan and require identical traces and identical fault-RNG
+// consumption — on a 3x3 grid (a tiny topology, 9 radios) and on a 5x5 one.
 
 struct DeliveryTrace : phy::RadioListener {
   // (time, kind, signal id): kind 0=carrier-off 1=carrier-on 2=rx 3=rx-error.
@@ -413,24 +414,24 @@ struct GridRunResult {
   phy::Channel::CacheStats stats;
 };
 
-GridRunResult run_grid_scenario(phy::Channel::IndexMode mode, bool mobile,
-                                std::uint64_t seed = 5,
+GridRunResult run_grid_scenario(phy::Channel::IndexMode mode, int grid,
+                                bool mobile, std::uint64_t seed = 5,
                                 SimDuration pause = 5 * kSecond) {
   sim::Simulator sim;
   phy::Propagation prop(phy::PropagationParams{}, /*shadowing_seed=*/1);
 
-  // 5x5 grid, 300 m spacing: multiple grid cells at the 687.5 m cell size,
-  // several audible neighbors per node, some beyond sensing range.
+  // grid x grid nodes, 300 m spacing: multiple cells at the 551 m cell
+  // size, several audible neighbors per node, some beyond sensing range.
   std::vector<geom::Vec2> layout;
-  for (int y = 0; y < 5; ++y)
-    for (int x = 0; x < 5; ++x) layout.push_back({x * 300.0, y * 300.0});
+  for (int y = 0; y < grid; ++y)
+    for (int x = 0; x < grid; ++x) layout.push_back({x * 300.0, y * 300.0});
 
   std::unique_ptr<phy::PositionProvider> positions;
   if (mobile) {
     // Compressed-time waypoint motion: fast legs and long pauses so the run
-    // actually contains waypoint arrivals, simultaneous pauses (epoch-cache
-    // hits), and enough drift to force grid rebuilds. pause = 0 keeps every
-    // node continuously in motion instead.
+    // actually contains waypoint arrivals, simultaneous pauses (pair-cache
+    // hits), and cell migrations. pause = 0 keeps every node continuously
+    // in motion instead.
     net::RandomWaypointParams rwp;
     rwp.width = 600.0;
     rwp.height = 600.0;
@@ -492,74 +493,40 @@ GridRunResult run_grid_scenario(phy::Channel::IndexMode mode, bool mobile,
   return out;
 }
 
-TEST(SpatialIndex, StaticScenarioMatchesFullScanExactly) {
-  const GridRunResult fast =
-      run_grid_scenario(phy::Channel::IndexMode::kRebuild, /*mobile=*/false);
-  const GridRunResult ref =
-      run_grid_scenario(phy::Channel::IndexMode::kFullScan, /*mobile=*/false);
-  EXPECT_EQ(fast.trace, ref.trace);
-  // Identical fault-RNG consumption proves candidates were visited in
-  // attach order — any other order permutes per-receiver fates.
-  EXPECT_EQ(fast.fault_decisions, ref.fault_decisions);
-  // The fast run actually took the fast path, and static link budgets were
-  // computed once: every repeat delivery is a cache hit.
-  EXPECT_EQ(fast.stats.full_scans, 0u);
-  EXPECT_EQ(fast.stats.grid_rebuilds, 1u);
-  EXPECT_GT(fast.stats.link_budget_hits, fast.stats.link_budget_misses);
-  EXPECT_GT(ref.stats.full_scans, 0u);
-}
-
-TEST(SpatialIndex, MobileScenarioMatchesFullScanExactly) {
-  const GridRunResult fast =
-      run_grid_scenario(phy::Channel::IndexMode::kRebuild, /*mobile=*/true);
-  const GridRunResult ref =
-      run_grid_scenario(phy::Channel::IndexMode::kFullScan, /*mobile=*/true);
-  EXPECT_EQ(fast.trace, ref.trace);
-  EXPECT_EQ(fast.fault_decisions, ref.fault_decisions);
-  EXPECT_EQ(fast.stats.full_scans, 0u);
-  // Movement invalidates the grid: it must have been rebuilt along the way.
-  EXPECT_GT(fast.stats.grid_rebuilds, 1u);
-  // Long pauses make some links cacheable even under mobility.
-  EXPECT_GT(fast.stats.link_budget_hits, 0u);
-}
-
-TEST(SpatialIndex, IncrementalStaticMatchesReferenceExactly) {
-  const GridRunResult inc = run_grid_scenario(
-      phy::Channel::IndexMode::kIncremental, /*mobile=*/false);
-  const GridRunResult ref =
-      run_grid_scenario(phy::Channel::IndexMode::kFullScan, /*mobile=*/false);
+void expect_static_matches_scan(int grid) {
+  const GridRunResult inc =
+      run_grid_scenario(phy::Channel::IndexMode::kAuto, grid, /*mobile=*/false);
+  const GridRunResult ref = run_grid_scenario(phy::Channel::IndexMode::kFullScan,
+                                              grid, /*mobile=*/false);
   EXPECT_EQ(inc.trace, ref.trace);
+  // Identical fault-RNG consumption proves receivers were delivered in
+  // attach order — any other order permutes per-receiver fates.
   EXPECT_EQ(inc.fault_decisions, ref.fault_decisions);
+  // The index run actually took the index, and the scan run the scan.
   EXPECT_EQ(inc.stats.full_scans, 0u);
-  EXPECT_EQ(inc.stats.grid_rebuilds, 0u);
+  EXPECT_GT(ref.stats.full_scans, 0u);
   // Static radios never carry migration deadlines.
   EXPECT_EQ(inc.stats.cell_migrations, 0u);
   EXPECT_EQ(inc.stats.migration_checks, 0u);
-  // Parked pairs cache their exact budgets, like the rebuild path.
+  // Parked pairs cache their exact budgets: repeat deliveries are hits.
   EXPECT_GT(inc.stats.link_budget_hits, inc.stats.link_budget_misses);
 }
 
-// The mobility-epoch caching satellite: seed-swept equality of delivery
-// traces and fault decisions (and thus every link-budget comparison)
-// between the incremental index and the retained references, for
-// pausing-waypoint and continuously-moving radios.
-TEST(SpatialIndex, IncrementalMobileMatchesReferenceSeedSwept) {
+// Seed-swept equality of delivery traces and fault decisions (and thus
+// every link-budget comparison) between the incremental index and the
+// full scan, for pausing-waypoint and continuously-moving radios.
+void expect_mobile_matches_scan(int grid) {
   for (const std::uint64_t seed : {5ull, 11ull, 23ull}) {
     for (const SimDuration pause : {5 * kSecond, SimDuration{0}}) {
       SCOPED_TRACE("seed=" + std::to_string(seed) +
                    " pause=" + std::to_string(pause));
       const GridRunResult inc = run_grid_scenario(
-          phy::Channel::IndexMode::kIncremental, /*mobile=*/true, seed, pause);
+          phy::Channel::IndexMode::kAuto, grid, /*mobile=*/true, seed, pause);
       const GridRunResult ref = run_grid_scenario(
-          phy::Channel::IndexMode::kFullScan, /*mobile=*/true, seed, pause);
-      const GridRunResult reb = run_grid_scenario(
-          phy::Channel::IndexMode::kRebuild, /*mobile=*/true, seed, pause);
+          phy::Channel::IndexMode::kFullScan, grid, /*mobile=*/true, seed, pause);
       EXPECT_EQ(inc.trace, ref.trace);
       EXPECT_EQ(inc.fault_decisions, ref.fault_decisions);
-      EXPECT_EQ(reb.trace, ref.trace);
-      EXPECT_EQ(reb.fault_decisions, ref.fault_decisions);
       EXPECT_EQ(inc.stats.full_scans, 0u);
-      EXPECT_EQ(inc.stats.grid_rebuilds, 0u);
       // Fast legs across 600 m cross the 551 m cells: migrations happened.
       EXPECT_GT(inc.stats.cell_migrations, 0u);
       // Far moving pairs were rejected by the predicted-position prefilter.
@@ -570,6 +537,24 @@ TEST(SpatialIndex, IncrementalMobileMatchesReferenceSeedSwept) {
       }
     }
   }
+}
+
+// The 3x3 grid (9 radios) is the tiny-topology case, such as the all-pairs
+// bench grid; the 5x5 grid spreads over more cells.
+TEST(SpatialIndex, StaticScenarioMatchesFullScanExactly) {
+  expect_static_matches_scan(3);
+}
+
+TEST(SpatialIndex, MobileScenarioMatchesFullScanExactly) {
+  expect_mobile_matches_scan(3);
+}
+
+TEST(SpatialIndex, IncrementalStaticMatchesReferenceExactly) {
+  expect_static_matches_scan(5);
+}
+
+TEST(SpatialIndex, IncrementalMobileMatchesReferenceSeedSwept) {
+  expect_mobile_matches_scan(5);
 }
 
 }  // namespace

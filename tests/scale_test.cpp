@@ -214,7 +214,6 @@ TEST(ScaleMemory, PerNodeRetentionStaysUnderBudget) {
   params.nodes = 200;
   params.sim_seconds = 20.0;
   params.seed = 3;
-  params.channel_index = "incremental";
   params.timeline_retention_s = 0.5;
   params.timeline_max_transitions = 512;
 
@@ -246,8 +245,8 @@ TEST(ScaleMemory, PerNodeRetentionStaysUnderBudget) {
   }
   EXPECT_TRUE(some_node_pruned);  // the run actually generated history
 
-  // Channel index + pair cache: bounded per node (the pre-PR-9 rebuild
-  // cache was O(N^2); the incremental one must stay O(N)).
+  // Channel index + pair cache: bounded per node (O(N), never an N x N
+  // table).
   EXPECT_LE(net.channel().index_memory_bytes(), net.size() * std::size_t{32768});
 }
 
