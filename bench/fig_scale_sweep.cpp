@@ -144,8 +144,8 @@ int main(int argc, char** argv) {
         .add("forwarded", aodv.forwarded);
     if (cache_stats) {
       // Timing-free internals: recorded only on request so default JSON
-      // stays diffable across index modes (the identity check in
-      // perf_pr9.sh strips wall fields but compares everything else).
+      // stays diffable across index modes (the scale auto-vs-scan row in
+      // scripts/check.sh strips wall fields but compares everything else).
       rec.add("full_scans", cs.full_scans)
           .add("cell_migrations", cs.cell_migrations)
           .add("migration_checks", cs.migration_checks)

@@ -1,15 +1,16 @@
-// Shared harness for the flag-driven microbenches (micro_wilcoxon,
-// micro_monitor, micro_ingest).
+// Shared harness for the flag-driven microbenches (micro_md5,
+// micro_event_queue, micro_sim_components, micro_wilcoxon, micro_monitor,
+// micro_ingest, micro_sink) — the repo's one micro framework.
 //
-// These benches used to run under google-benchmark, which emits its own
-// JSON schema — bench/run_all.sh had to special-case them. MicroHarness
-// gives them the same surface as the figure benches instead: FlagSet
-// flags (--filter to select cases by substring, --reps as a work
+// MicroHarness gives the micros the same surface as the figure benches:
+// FlagSet flags (--filter to select cases by substring, --reps as a work
 // multiplier, --json for machine output) and one exp::Record per case
-// through the standard sink, so BENCH_*.json merges treat micro rows and
+// through the standard sink, so bench/run_all.sh merges micro rows and
 // sweep rows identically. Every record carries
 //   bench, case, reps, ops, wall_seconds, ns_per_op
-// plus whatever case-specific fields the bench adds (frames, lanes, ...).
+// plus whatever case-specific fields the bench adds (bytes, frames, ...).
+// A --filter that matches no case is an error (finish() returns 1), so a
+// renamed case cannot turn a filtered smoke run into a silent no-op.
 //
 // Timing is a single wall-clock measurement around the case body (which
 // performs all `reps` repetitions itself): these are throughput benches
@@ -81,6 +82,8 @@ class MicroHarness {
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
+    ++cases_run_;
+    last_wall_ = wall;
     const double ns_per_op =
         ops ? wall * 1e9 / static_cast<double>(ops) : 0.0;
     std::printf("  %-40s %14.1f ns/op  (%llu ops, %.3f s)\n", name.c_str(),
@@ -98,12 +101,24 @@ class MicroHarness {
     sink_->record(rec);
   }
 
-  FlagSet& flags() { return flags_; }
+  /// Wall-clock seconds of the most recent case body (for `extra`
+  /// callbacks that report rates).
+  double last_wall_seconds() const { return last_wall_; }
+
+  /// main()'s exit status: 1, with an error, when --filter matched no case.
+  int finish() const {
+    if (cases_run_ > 0) return 0;
+    std::fprintf(stderr, "error: --filter=%s matches no case of %s\n",
+                 flags_.get("filter").c_str(), bench_.c_str());
+    return 1;
+  }
 
  private:
   std::string bench_;
   FlagSet flags_;
   std::shared_ptr<exp::ResultSink> sink_;
+  std::size_t cases_run_ = 0;
+  double last_wall_ = 0.0;
 };
 
 }  // namespace manet::bench

@@ -1,84 +1,113 @@
 // Microbenchmark: discrete-event kernel throughput — the floor under every
 // simulation second this library runs.
-#include <benchmark/benchmark.h>
-
+//
+// Cases (select with --filter; ns_per_op is per event):
+//  * schedule_and_pop_<batch>   — fill a fresh queue with <batch> random
+//                                 timestamps, then drain it.
+//  * schedule_cancel            — schedule and immediately cancel.
+//  * cancel_churn_steady_state  — a standing population of 512 timers,
+//                                 one cancelled and replaced per op; the
+//                                 record's heap_entries and live fields
+//                                 show the dead-entry compaction bound.
+//  * simulator_self_scheduling  — one self-rescheduling timer through
+//                                 the Simulator.
+#include <cstdint>
 #include <functional>
+#include <string>
+#include <vector>
 
+#include "micro_common.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
-using manet::sim::EventQueue;
-using manet::sim::Simulator;
+using namespace manet;
+using sim::EventQueue;
+using sim::Simulator;
 
-void BM_ScheduleAndPop(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  manet::util::Xoshiro256ss rng(1);
-  for (auto _ : state) {
-    EventQueue q;
-    for (std::size_t i = 0; i < batch; ++i) {
-      q.schedule(static_cast<manet::SimTime>(rng.uniform_int(1u << 20)), [] {});
+void schedule_and_pop(bench::MicroHarness& h, std::size_t batch) {
+  // ~1M events per case at --reps=1, whatever the batch size.
+  const std::size_t reps = h.reps((std::size_t{1} << 20) / batch);
+  util::Xoshiro256ss rng(1);
+  h.run_case("schedule_and_pop_" + std::to_string(batch), [&] {
+    for (std::size_t r = 0; r < reps; ++r) {
+      EventQueue q;
+      for (std::size_t i = 0; i < batch; ++i) {
+        q.schedule(static_cast<SimTime>(rng.uniform_int(1u << 20)), [] {});
+      }
+      while (!q.empty()) bench::keep(q.pop().id);
     }
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop().id);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
+    return static_cast<std::uint64_t>(reps * batch);
+  });
 }
-BENCHMARK(BM_ScheduleAndPop)->Arg(1024)->Arg(16384)->Arg(131072);
-
-void BM_ScheduleCancel(benchmark::State& state) {
-  // The MAC cancels timers constantly; cancel must be O(1)-ish.
-  for (auto _ : state) {
-    EventQueue q;
-    for (int i = 0; i < 1024; ++i) {
-      const auto id = q.schedule(i, [] {});
-      q.cancel(id);
-    }
-    benchmark::DoNotOptimize(q.empty());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
-}
-BENCHMARK(BM_ScheduleCancel);
-
-void BM_CancelChurnSteadyState(benchmark::State& state) {
-  // The MAC's steady-state pattern: a standing population of timers where
-  // almost every scheduled event is cancelled and replaced before firing.
-  // Exercises slot reuse and the dead-entry compaction bound.
-  EventQueue q;
-  manet::util::Xoshiro256ss rng(7);
-  std::vector<manet::sim::EventId> live(512, manet::sim::kInvalidEvent);
-  manet::SimTime t = 0;
-  for (auto& id : live) id = q.schedule(++t, [] {});
-  for (auto _ : state) {
-    const std::size_t i = rng.uniform_int(512);
-    q.cancel(live[i]);
-    live[i] = q.schedule(++t, [] {});
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.counters["heap_entries"] =
-      static_cast<double>(q.heap_entries());
-  state.counters["live"] = static_cast<double>(q.size());
-}
-BENCHMARK(BM_CancelChurnSteadyState);
-
-void BM_SimulatorSelfScheduling(benchmark::State& state) {
-  // A single self-rescheduling timer: the pattern of per-node periodic work.
-  for (auto _ : state) {
-    Simulator sim;
-    int remaining = 10000;
-    std::function<void()> tick = [&] {
-      if (--remaining > 0) sim.after(20, tick);
-    };
-    sim.at(0, tick);
-    sim.run();
-    benchmark::DoNotOptimize(sim.now());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10000);
-}
-BENCHMARK(BM_SimulatorSelfScheduling);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  bench::MicroHarness h("micro_event_queue",
+                        "Event queue schedule/pop/cancel throughput and the "
+                        "Simulator's self-scheduling loop.",
+                        argc, argv);
+
+  for (std::size_t batch : {1024u, 16384u, 131072u}) schedule_and_pop(h, batch);
+
+  {
+    // The MAC cancels timers constantly; cancel must be O(1)-ish.
+    const std::size_t reps = h.reps(1000);
+    h.run_case("schedule_cancel", [&] {
+      for (std::size_t r = 0; r < reps; ++r) {
+        EventQueue q;
+        for (int i = 0; i < 1024; ++i) q.cancel(q.schedule(i, [] {}));
+        bench::keep(q.empty());
+      }
+      return static_cast<std::uint64_t>(reps * 1024);
+    });
+  }
+
+  {
+    // The MAC's steady-state pattern: a standing population of timers where
+    // almost every scheduled event is cancelled and replaced before firing.
+    // Exercises slot reuse and the dead-entry compaction bound.
+    EventQueue q;
+    util::Xoshiro256ss rng(7);
+    std::vector<sim::EventId> live(512, sim::kInvalidEvent);
+    SimTime t = 0;
+    for (auto& id : live) id = q.schedule(++t, [] {});
+    const std::size_t reps = h.reps(1000000);
+    h.run_case(
+        "cancel_churn_steady_state",
+        [&] {
+          for (std::size_t r = 0; r < reps; ++r) {
+            const std::size_t i = rng.uniform_int(512);
+            q.cancel(live[i]);
+            live[i] = q.schedule(++t, [] {});
+          }
+          return static_cast<std::uint64_t>(reps);
+        },
+        [&](exp::Record& rec) {
+          rec.add("heap_entries", static_cast<std::uint64_t>(q.heap_entries()))
+              .add("live", static_cast<std::uint64_t>(q.size()));
+        });
+  }
+
+  {
+    // A single self-rescheduling timer: the pattern of per-node periodic work.
+    const std::size_t reps = h.reps(100);
+    h.run_case("simulator_self_scheduling", [&] {
+      for (std::size_t r = 0; r < reps; ++r) {
+        Simulator sim;
+        int remaining = 10000;
+        std::function<void()> tick = [&] {
+          if (--remaining > 0) sim.after(20, tick);
+        };
+        sim.at(0, tick);
+        sim.run();
+        bench::keep(sim.now());
+      }
+      return static_cast<std::uint64_t>(reps * 10000);
+    });
+  }
+  return h.finish();
+}

@@ -174,5 +174,5 @@ int main(int argc, char** argv) {
   run_replay(h, "replay_batch_sprt", detect::DetectorKind::kSprt, 1, 20);
   run_replay(h, "replay_batch_wilcoxon_x16", detect::DetectorKind::kWilcoxon,
              16, 10);
-  return 0;
+  return h.finish();
 }

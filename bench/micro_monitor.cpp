@@ -88,5 +88,5 @@ int main(int argc, char** argv) {
                  /*all_pairs=*/true, configs, /*base_reps=*/2);
   }
   run_workload(h, "single_batch", /*all_pairs=*/false, 1, /*base_reps=*/3);
-  return 0;
+  return h.finish();
 }

@@ -10,9 +10,9 @@
 //  * columnar_sink_write  — ColumnarFileSink end-to-end: per-column
 //                           encode (raw 8-byte doubles, varints,
 //                           dictionary strings) + CRC framing + stream.
-//                           The fabric's high-rate path; perf_pr10.sh
-//                           quotes columnar-vs-JSON write speedup (target
-//                           >= 10x) and artifact size ratio (~5x).
+//                           The fabric's high-rate path; the
+//                           columnar_vs_json record quotes its write
+//                           speedup over JSON and the artifact size ratio.
 //  * columnar_read        — read_columnar_file: full validation (CRCs,
 //                           schema refs, cell ordering) + record
 //                           reconstruction of the written artifact.
@@ -107,37 +107,29 @@ int main(int argc, char** argv) {
   harness.run_case(
       "json_sink_write",
       [&] {
-        const auto start = std::chrono::steady_clock::now();
-        {
-          exp::JsonFileSink sink(json_path);
-          for (std::uint64_t i = 0; i < records; ++i) {
-            sink.record(pooled(i));
-          }
-        }
-        json_wall = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
+        exp::JsonFileSink sink(json_path);
+        for (std::uint64_t i = 0; i < records; ++i) sink.record(pooled(i));
         return records;
       },
-      [&](exp::Record& rec) { rec.add("bytes", file_size(json_path)); });
+      [&](exp::Record& rec) {
+        json_wall = harness.last_wall_seconds();
+        rec.add("bytes", file_size(json_path));
+      });
 
   harness.run_case(
       "columnar_sink_write",
       [&] {
-        const auto start = std::chrono::steady_clock::now();
-        {
-          exp::ColumnarFileSink sink(mcol_path, meta);
-          for (std::uint64_t i = 0; i < records; ++i) {
-            sink.begin_cell(i);
-            sink.record(pooled(i));
-          }
+        exp::ColumnarFileSink sink(mcol_path, meta);
+        for (std::uint64_t i = 0; i < records; ++i) {
+          sink.begin_cell(i);
+          sink.record(pooled(i));
         }
-        mcol_wall = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
         return records;
       },
-      [&](exp::Record& rec) { rec.add("bytes", file_size(mcol_path)); });
+      [&](exp::Record& rec) {
+        mcol_wall = harness.last_wall_seconds();
+        rec.add("bytes", file_size(mcol_path));
+      });
 
   harness.run_case("columnar_read", [&] {
     const exp::ColumnarFile file = exp::read_columnar_file(mcol_path);
@@ -145,8 +137,8 @@ int main(int argc, char** argv) {
     return records;
   });
 
-  // Headline comparison, one record so perf_pr10.sh (and humans) get the
-  // ratios without re-deriving them from the per-case rows.
+  // Headline comparison, one record so readers of the --json artifact (and
+  // humans) get the ratios without re-deriving them from the per-case rows.
   const std::uint64_t json_bytes = file_size(json_path);
   const std::uint64_t mcol_bytes = file_size(mcol_path);
   const double write_speedup = mcol_wall > 0.0 ? json_wall / mcol_wall : 0.0;
@@ -173,5 +165,5 @@ int main(int argc, char** argv) {
 
   std::remove(json_path.c_str());
   std::remove(mcol_path.c_str());
-  return 0;
+  return harness.finish();
 }

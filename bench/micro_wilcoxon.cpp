@@ -2,11 +2,10 @@
 // The monitor runs one test per completed window; at sample size 10 the
 // exact permutation DP must stay in the tens of microseconds.
 //
-// Case families (select with --filter):
-//  * exact_fast_n* / approx_fast_n*   — the scratch-reused scalar path.
-//  * exact_reference_n* / ...         — the retained pre-optimization
-//    implementation (fresh allocations, full-range DP rows, second
-//    tie-group sort); fast/reference is the perf_pr5.sh speedup.
+// Case families (select with --filter): exact_fast_n* and approx_fast_n*,
+// the scratch-reused scalar path on the exact-DP and normal-approximation
+// branches. The "fast" tag stays so rows in the committed BENCH_*.json
+// history remain comparable.
 #include <cstdint>
 #include <vector>
 
@@ -18,7 +17,6 @@ namespace {
 
 using namespace manet;
 using detect::wilcoxon_rank_sum;
-using detect::wilcoxon_rank_sum_reference;
 using detect::WilcoxonOptions;
 using detect::WilcoxonScratch;
 
@@ -34,34 +32,16 @@ void run_family(bench::MicroHarness& h, const char* family, std::size_t n,
   WilcoxonOptions opts;
   opts.exact_max_total = exact ? 2 * n : 0;
 
-  const std::string suffix = "_n" + std::to_string(n);
-  const std::string fast_name = std::string(family) + "_fast" + suffix;
-  const std::string ref_name = std::string(family) + "_reference" + suffix;
-
-  {
-    const auto x = sample(n, 1.0, 1);
-    const auto y = sample(n, 0.7, 2);
-    WilcoxonScratch scratch;  // reused across iterations, like a monitor
-    const std::size_t reps = h.reps(base_reps);
-    h.run_case(fast_name, [&] {
-      for (std::size_t i = 0; i < reps; ++i) {
-        bench::keep(wilcoxon_rank_sum(x, y, opts, scratch).p_less);
-      }
-      return static_cast<std::uint64_t>(reps);
-    });
-  }
-  {
-    const auto x = sample(n, 1.0, 1);
-    const auto y = sample(n, 0.7, 2);
-    // The reference is an order of magnitude slower; trim its rep count.
-    const std::size_t reps = h.reps(base_reps / 4 + 1);
-    h.run_case(ref_name, [&] {
-      for (std::size_t i = 0; i < reps; ++i) {
-        bench::keep(wilcoxon_rank_sum_reference(x, y, opts).p_less);
-      }
-      return static_cast<std::uint64_t>(reps);
-    });
-  }
+  const auto x = sample(n, 1.0, 1);
+  const auto y = sample(n, 0.7, 2);
+  WilcoxonScratch scratch;  // reused across iterations, like a monitor
+  const std::size_t reps = h.reps(base_reps);
+  h.run_case(std::string(family) + "_fast_n" + std::to_string(n), [&] {
+    for (std::size_t i = 0; i < reps; ++i) {
+      bench::keep(wilcoxon_rank_sum(x, y, opts, scratch).p_less);
+    }
+    return static_cast<std::uint64_t>(reps);
+  });
 }
 
 }  // namespace
@@ -69,8 +49,7 @@ void run_family(bench::MicroHarness& h, const char* family, std::size_t n,
 int main(int argc, char** argv) {
   bench::MicroHarness h("micro_wilcoxon",
                         "Wilcoxon rank-sum cost per closed monitor window: "
-                        "scalar fast path vs retained reference, exact-DP "
-                        "and normal-approximation branches.",
+                        "exact-DP and normal-approximation branches.",
                         argc, argv);
   for (std::size_t n : {5u, 10u, 15u, 20u}) {
     run_family(h, "exact", n, /*exact=*/true, 4000);
@@ -78,5 +57,5 @@ int main(int argc, char** argv) {
   for (std::size_t n : {10u, 25u, 50u, 100u, 500u}) {
     run_family(h, "approx", n, /*exact=*/false, 40000);
   }
-  return 0;
+  return h.finish();
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Runs every figure/ablation bench with its --json sink enabled and merges
-# the per-bench JSON arrays into one BENCH_PR9.json object:
+# Runs every figure/ablation/micro bench with its --json sink enabled and
+# merges the per-bench JSON arrays into one JSON object (by default
+# <build_dir>/bench_all.json, inside the untracked build tree):
 #
 #   { "fig3_cond_prob_grid": [ {...}, ... ], "fig5_detection_static": [...] }
 #
@@ -20,7 +21,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 build_dir=${1:-build-bench}
-out_json=${2:-BENCH_PR9.json}
+out_json=${2:-$build_dir/bench_all.json}
 threads=${THREADS:-0}
 
 if [[ ! -d "$build_dir/bench" ]]; then
@@ -53,13 +54,17 @@ default_benches=(
   ablation_prs_value
   motivation_starvation
   extension_multihop
+  micro_md5
+  micro_event_queue
+  micro_sim_components
   micro_wilcoxon
   micro_monitor
   micro_ingest
   micro_sink
 )
-no_threads=(extension_multihop fig_scale_sweep micro_wilcoxon micro_monitor
-            micro_ingest micro_sink)
+no_threads=(extension_multihop fig_scale_sweep micro_md5 micro_event_queue
+            micro_sim_components micro_wilcoxon micro_monitor micro_ingest
+            micro_sink)
 read -r -a benches <<< "${BENCHES:-${default_benches[*]}}"
 
 for bench in "${benches[@]}"; do

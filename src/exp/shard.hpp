@@ -11,9 +11,9 @@
 // so (a) any cell's results are bit-identical no matter which shard (or
 // thread) computes it, and (b) concatenating the N shard artifacts in
 // shard order reproduces the serial single-process artifact exactly —
-// the property tools/sweep_merge validates and bench/perf_pr10.sh
-// enforces byte-for-byte. N may exceed the cell count; trailing shards
-// simply own empty ranges.
+// the property tools/sweep_merge validates and the scripts/check.sh
+// determinism rows (fig5 and ROC shard merges) enforce byte-for-byte. N
+// may exceed the cell count; trailing shards simply own empty ranges.
 #pragma once
 
 #include <cstdint>
