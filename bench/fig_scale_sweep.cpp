@@ -32,7 +32,8 @@ int main(int argc, char** argv) {
   flags.add_double("max_speed", 20, "random waypoint max speed (m/s)");
   flags.add_int("seed", 1, "base random seed");
   flags.add_int("cache_stats", 0,
-                "1 = print + record channel index/cache statistics");
+                "1 = print + record channel index and link-list statistics "
+                "(link_budget_hits = deliveries served a cached power)");
   flags.add_json_flag();
   flags.parse_or_exit(argc, argv);
 

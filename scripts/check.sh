@@ -71,6 +71,12 @@ expect_same fig5_index ./build/bench/fig5_detection_static "${fig5_flags[@]}" \
     --threads=1 -- --channel_index=auto -- --channel_index=scan
 expect_same fig5d_index ./build/bench/fig5d_detection_mobile \
     "${fig5d_flags[@]}" --threads=1 -- --channel_index=auto -- --channel_index=scan
+# Waypoint pauses mix parked and moving radios: parked transmitters serve
+# their fan-outs from link lists while neighbours arrive, park and leave
+# (with these flags the runs see waypoint arrivals well inside 60 s).
+expect_same fig5d_pause_index ./build/bench/fig5d_detection_mobile \
+    --pms=50 --sample_sizes=10,25 --sim_time=60 --runs=2 --max_speed=60 \
+    --pause=10 --threads=1 -- --channel_index=auto -- --channel_index=scan
 expect_same fig6_index ./build/bench/fig6_misdiagnosis_static \
     "${fig6_flags[@]}" --threads=1 -- --channel_index=auto -- --channel_index=scan
 expect_same allpairs_index ./build/bench/fig_allpairs_monitoring \
@@ -252,8 +258,8 @@ diff <(strip_timing "$smoke_dir/ck.json") \
 
 echo "== scale kernel smoke (ASan + UBSan) =="
 # 1k mobile nodes through the incremental spatial index: cell migrations,
-# the predicted-position prefilter, the parked-pair cache, and the
-# timeline hard budgets all run instrumented.
+# the predicted-position prefilter, and the timeline hard budgets all run
+# instrumented.
 ./build-asan/bench/fig_scale_sweep --nodes=1000 --sim_time=2 \
     --index=auto --cache_stats=1 \
     --json="$smoke_dir/scale_1k.json" >/dev/null

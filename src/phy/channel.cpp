@@ -6,10 +6,10 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "phy/impairments.hpp"
 #include "phy/radio.hpp"
-#include "util/rng.hpp"
 
 namespace manet::phy {
 
@@ -22,24 +22,6 @@ namespace {
 // monotone path-loss model guarantees inaudibility.
 constexpr double kCellPadM = 1.0;
 
-// Pair-cache sizing: a power of two near 256 slots per radio — roughly 2x
-// the live parked (tx, cs-candidate) pair population at the scale
-// scenarios' density, which a direct-mapped cache needs to keep its hit
-// rate high — floored so small topologies stay collision-free and capped
-// so 10k nodes retain ~6 KB of pair cache per node (2^21 slots x 32 B =
-// 64 MB total).
-constexpr std::size_t kPairSlotsPerRadio = 256;
-constexpr std::size_t kPairSlotsMin = 1u << 12;
-constexpr std::size_t kPairSlotsMax = 1u << 21;
-
-std::size_t pair_cache_capacity(std::size_t radios) {
-  std::size_t want = radios * kPairSlotsPerRadio;
-  want = std::max(want, kPairSlotsMin);
-  want = std::min(want, kPairSlotsMax);
-  std::size_t cap = 1;
-  while (cap < want) cap <<= 1;
-  return cap;
-}
 }  // namespace
 
 Channel::IndexMode Channel::parse_index_mode(std::string_view name) {
@@ -167,15 +149,30 @@ void Channel::rebucket(std::uint32_t idx, SimTime now, bool initial) {
   const std::int32_t cy = cell_coord(m.position.y);
   if (initial) {
     grid_[cell_key(cx, cy)].push_back(idx);
-  } else if (cx != rm.cx || cy != rm.cy) {
-    std::vector<std::uint32_t>& old_cell = grid_[cell_key(rm.cx, rm.cy)];
-    const auto it = std::find(old_cell.begin(), old_cell.end(), idx);
-    if (it != old_cell.end()) {
-      *it = old_cell.back();
-      old_cell.pop_back();
+  } else {
+    const bool moved_cell = cx != rm.cx || cy != rm.cy;
+    if (moved_cell) {
+      std::vector<std::uint32_t>& old_cell = grid_[cell_key(rm.cx, rm.cy)];
+      const auto it = std::find(old_cell.begin(), old_cell.end(), idx);
+      if (it != old_cell.end()) {
+        *it = old_cell.back();
+        old_cell.pop_back();
+      }
+      grid_[cell_key(cx, cy)].push_back(idx);
+      ++cache_stats_.cell_migrations;
     }
-    grid_[cell_key(cx, cy)].push_back(idx);
-    ++cache_stats_.cell_migrations;
+    // A link list goes stale when its 3x3 membership changes (this radio
+    // left or entered a cell), when a cached power's segment ends (this
+    // radio was parked; that includes a listed transmitter's own segment),
+    // or when a moving entry parks and could now be cached. A moving
+    // radio starting a new moving segment in the same cell stays an exact
+    // entry, so no list needs to change.
+    const bool segment_parks_or_unparks =
+        m.epoch != rm.epoch && (parked(rm) || parked(m.epoch, m.velocity_mps));
+    if (moved_cell || segment_parks_or_unparks) {
+      invalidate_links_near(rm.cx, rm.cy);
+      if (moved_cell) invalidate_links_near(cx, cy);
+    }
   }
   rm.cx = cx;
   rm.cy = cy;
@@ -192,7 +189,7 @@ void Channel::ensure_incremental(SimTime now) {
   grid_.clear();
   migrate_heap_.clear();
   cells_.assign(radios_.size(), RadioMotion{});
-  pair_cache_.assign(pair_cache_capacity(radios_.size()), PairEntry{});
+  links_.assign(radios_.size(), LinkList{});
   for (std::uint32_t i = 0; i < radios_.size(); ++i) {
     rebucket(i, now, /*initial=*/true);
   }
@@ -213,8 +210,8 @@ void Channel::drain_migrations(SimTime now) {
 
 void Channel::collect_candidates(
     const geom::Vec2& tx_pos, std::vector<std::uint32_t>& out) const {
-  // Unsorted: transmit() orders the (much smaller) audible subset before
-  // delivering, which is where attach order actually matters.
+  // Unsorted: callers order the (much smaller) audible subset or the link
+  // list, which is where attach order actually matters.
   out.clear();
   const std::int32_t cx = cell_coord(tx_pos.x);
   const std::int32_t cy = cell_coord(tx_pos.y);
@@ -227,43 +224,71 @@ void Channel::collect_candidates(
   }
 }
 
-bool Channel::pair_power(std::uint32_t tx_idx, std::uint32_t rx_idx,
-                         const geom::Vec2& tx_pos, SimTime at,
-                         double& power_dbm) {
-  const std::uint32_t lo = std::min(tx_idx, rx_idx);
-  const std::uint32_t hi = std::max(tx_idx, rx_idx);
-  const RadioMotion& lm = cells_[lo];
-  const RadioMotion& hm = cells_[hi];
-  const bool parked = lm.epoch != kMovingEpoch && hm.epoch != kMovingEpoch &&
-                      lm.velocity.x == 0.0 && lm.velocity.y == 0.0 &&
-                      hm.velocity.x == 0.0 && hm.velocity.y == 0.0;
-  if (!parked) {
-    // A moving endpoint: the predicted-position prefilter in transmit()
-    // already rejected the far pairs, so nearly every pair reaching here
-    // needs its exact power anyway — a cache probe would be pure overhead.
-    // Exact power from exact positions, like the reference scan.
-    ++cache_stats_.link_budget_misses;
-    power_dbm = prop_.rx_power_dbm(
-        tx_pos, positions_.position(radios_[rx_idx]->id(), at));
-    return true;
+bool Channel::maybe_audible(std::uint32_t rx_idx, const geom::Vec2& tx_pos,
+                            double now_s) const {
+  // Predicted-position prefilter: drain_migrations() guarantees every
+  // radio's recorded motion segment covers now, so ref + v*dt is the
+  // candidate's position up to FP rounding. Beyond the slacked limit the
+  // pair is provably inaudible without touching the radio or the position
+  // provider.
+  const RadioMotion& rm = cells_[rx_idx];
+  const double dt = now_s - rm.ref_t_s;
+  const double px = rm.ref_pos.x + rm.velocity.x * dt - tx_pos.x;
+  const double py = rm.ref_pos.y + rm.velocity.y * dt - tx_pos.y;
+  return px * px + py * py <= predict_limit_sq_;
+}
+
+bool Channel::audible_power(std::uint32_t rx_idx, const geom::Vec2& tx_pos,
+                            SimTime at, double now_s, double& power_dbm) {
+  if (!maybe_audible(rx_idx, tx_pos, now_s)) {
+    ++cache_stats_.prefilter_rejects;
+    return false;
   }
-  // Both endpoints parked: their positions are constant for the lifetime of
-  // the (epoch, epoch) pair, so the cached power is exactly what a fresh
-  // computation would produce — the identical doubles feed the identical
-  // path-loss expression.
-  const std::uint64_t key = (static_cast<std::uint64_t>(lo) << 32) | hi;
-  PairEntry& e = pair_cache_[util::mix64(key) & (pair_cache_.size() - 1)];
-  if (e.key == key && e.lo_epoch == lm.epoch && e.hi_epoch == hm.epoch) {
-    ++cache_stats_.link_budget_hits;
-    power_dbm = e.power_dbm;
-    return true;
-  }
+  const Radio* rx = radios_[rx_idx];
+  if (rx->in_outage()) return false;  // deaf: no energy arrives
   ++cache_stats_.link_budget_misses;
-  const double power = prop_.rx_power_dbm(
-      tx_pos, positions_.position(radios_[rx_idx]->id(), at));
-  e = PairEntry{key, lm.epoch, hm.epoch, power};
-  power_dbm = power;
-  return true;
+  power_dbm = prop_.rx_power_dbm(tx_pos, positions_.position(rx->id(), at));
+  return power_dbm >= prop_.cs_threshold_dbm();
+}
+
+void Channel::build_links(std::uint32_t tx_idx, const geom::Vec2& tx_pos,
+                          SimTime at) {
+  // No delivery happens here, so nothing can re-enter and the scratch
+  // buffer may be used in place.
+  collect_candidates(tx_pos, candidates_scratch_);
+  std::sort(candidates_scratch_.begin(), candidates_scratch_.end());
+  LinkList& list = links_[tx_idx];
+  list.entries.clear();
+  const double now_s = time_to_seconds(at);
+  const double cs_threshold = prop_.cs_threshold_dbm();
+  for (const std::uint32_t rx_idx : candidates_scratch_) {
+    if (rx_idx == tx_idx) continue;
+    if (!parked(cells_[rx_idx])) {
+      list.entries.push_back(Link{rx_idx, /*exact=*/true, 0.0});
+      continue;
+    }
+    // Both endpoints parked: the distance is fixed until either segment
+    // ends, which invalidates the list, so an inaudible pair stays
+    // inaudible and is left out.
+    if (!maybe_audible(rx_idx, tx_pos, now_s)) continue;
+    ++cache_stats_.link_budget_misses;
+    const double power = prop_.rx_power_dbm(
+        tx_pos, positions_.position(radios_[rx_idx]->id(), at));
+    if (power < cs_threshold) continue;
+    list.entries.push_back(Link{rx_idx, /*exact=*/false, power});
+  }
+  candidates_scratch_.clear();
+  list.valid = true;
+}
+
+void Channel::invalidate_links_near(std::int32_t cx, std::int32_t cy) {
+  for (std::int32_t dx = -1; dx <= 1; ++dx) {
+    for (std::int32_t dy = -1; dy <= 1; ++dy) {
+      const auto it = grid_.find(cell_key(cx + dx, cy + dy));
+      if (it == grid_.end()) continue;
+      for (const std::uint32_t idx : it->second) links_[idx].valid = false;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -301,9 +326,12 @@ bool Channel::radios_within(NodeId center, double range_m, SimTime at,
 std::size_t Channel::index_memory_bytes() const {
   std::size_t bytes = cells_.capacity() * sizeof(RadioMotion) +
                       migrate_heap_.capacity() * sizeof(migrate_heap_[0]) +
-                      pair_cache_.capacity() * sizeof(PairEntry);
+                      links_.capacity() * sizeof(LinkList);
   for (const auto& [key, cell] : grid_) {
     bytes += sizeof(key) + cell.capacity() * sizeof(std::uint32_t);
+  }
+  for (const LinkList& list : links_) {
+    bytes += list.entries.capacity() * sizeof(Link);
   }
   return bytes;
 }
@@ -327,77 +355,105 @@ std::uint64_t Channel::transmit(Radio* tx, PayloadPtr payload, SimDuration airti
     receiver_pool_.pop_back();
   }
 
+  // One Signal per transmission: each delivery sets the receiver's power
+  // and, for a fault-corrupted delivery, swaps the damaged payload in for
+  // that one receiver. Radios copy the Signal only when they lock onto it,
+  // so an unlocked delivery costs no payload refcount traffic.
+  Signal signal{id, tx_id, std::move(payload), start, end, 0.0};
   auto deliver = [&](Radio* rx, double power) {
-    Signal signal{id, tx_id, payload, start, end, power};
-    double rx_threshold = base_rx_threshold;
-    if (faulty && power >= rx_threshold) {
-      switch (faults_->decode_fate(tx_id, rx->id())) {
-        case DecodeFate::kIntact:
-          break;
-        case DecodeFate::kLost:
-          // Anonymous energy: audible for carrier sense, never decodable —
-          // the monitor's undecodable-busy case, now on demand.
-          rx_threshold = std::numeric_limits<double>::infinity();
-          break;
-        case DecodeFate::kCorrupted:
-          signal.payload = faults_->corrupt_payload(payload);
-          signal.corrupted = true;
-          break;
+    signal.rx_power_dbm = power;
+    const DecodeFate fate = faulty && power >= base_rx_threshold
+                                ? faults_->decode_fate(tx_id, rx->id())
+                                : DecodeFate::kIntact;
+    switch (fate) {
+      case DecodeFate::kIntact:
+        rx->signal_start(signal, base_rx_threshold, capture_db);
+        break;
+      case DecodeFate::kLost:
+        // Anonymous energy: audible for carrier sense, never decodable —
+        // the monitor's undecodable-busy case, now on demand.
+        rx->signal_start(signal, std::numeric_limits<double>::infinity(),
+                         capture_db);
+        break;
+      case DecodeFate::kCorrupted: {
+        PayloadPtr intact = std::exchange(
+            signal.payload, faults_->corrupt_payload(signal.payload));
+        signal.corrupted = true;
+        rx->signal_start(signal, base_rx_threshold, capture_db);
+        signal.payload = std::move(intact);
+        signal.corrupted = false;
+        break;
       }
     }
-    rx->signal_start(signal, rx_threshold, capture_db);
     receivers.push_back(rx);
   };
 
   if (use_index()) {
     ensure_incremental(start);
     drain_migrations(start);
-    // Take the scratch buffer: signal_start below can re-enter transmit(),
-    // and the nested call must not rewrite the list this call iterates.
-    std::vector<std::uint32_t> candidates = std::move(candidates_scratch_);
-    candidates_scratch_ = {};
-    collect_candidates(tx_pos, candidates);
-    ++cache_stats_.candidate_sets;
-    cache_stats_.candidates_seen += candidates.size();
-    receivers.reserve(candidates.size());
     const std::uint32_t tx_idx = tx->channel_index();
-    // Power evaluation draws no randomness, so candidate order is free;
-    // only the audible subset must be delivered in attach order (the fault
-    // RNG stream is consumed per delivery, like the reference full scan).
-    std::vector<std::pair<std::uint32_t, double>> audible =
-        std::move(audible_scratch_);
-    audible_scratch_ = {};
-    audible.clear();
     const double now_s = time_to_seconds(start);
-    for (const std::uint32_t rx_idx : candidates) {
-      if (rx_idx == tx_idx) continue;
-      // Predicted-position prefilter: drain_migrations() above guarantees
-      // every radio's recorded motion segment covers `start`, so ref + v*dt
-      // is the candidate's position up to FP rounding. Beyond the slacked
-      // limit the pair is provably inaudible without touching the radio,
-      // the pair cache, or the position provider.
-      const RadioMotion& rm = cells_[rx_idx];
-      const double dt = now_s - rm.ref_t_s;
-      const double px = rm.ref_pos.x + rm.velocity.x * dt - tx_pos.x;
-      const double py = rm.ref_pos.y + rm.velocity.y * dt - tx_pos.y;
-      if (px * px + py * py > predict_limit_sq_) {
-        ++cache_stats_.prefilter_rejects;
-        continue;
+    if (parked(cells_[tx_idx])) {
+      // List-served fan-out: the list is already in attach order, so the
+      // fault RNG stream is consumed exactly as in the full scan.
+      if (!links_[tx_idx].valid) build_links(tx_idx, tx_pos, start);
+      // Take the list for the walk: signal_start below can re-enter
+      // transmit() from another radio. The nested call never rewrites
+      // this list: the drain above took every migration due now and
+      // rebucket() schedules strictly later, so nothing is invalidated,
+      // and this radio cannot transmit again during its airtime, so only
+      // the nested transmitter's own list may be rebuilt. Holding the
+      // vector locally keeps the walk valid even if links_ is reassigned.
+      std::vector<Link> list = std::move(links_[tx_idx].entries);
+      ++cache_stats_.candidate_sets;
+      cache_stats_.candidates_seen += list.size();
+      receivers.reserve(list.size());
+      for (const Link& link : list) {
+        double power = link.power_dbm;
+        if (link.exact) {
+          if (!audible_power(link.rx, tx_pos, start, now_s, power)) continue;
+        } else {
+          if (radios_[link.rx]->in_outage()) continue;
+          ++cache_stats_.link_budget_hits;
+        }
+        deliver(radios_[link.rx], power);
       }
-      if (radios_[rx_idx]->in_outage()) continue;  // deaf: no energy arrives
-      double power;
-      if (!pair_power(tx_idx, rx_idx, tx_pos, start, power)) continue;
-      if (power < cs_threshold) continue;  // inaudible
-      audible.emplace_back(rx_idx, power);
+      links_[tx_idx].entries = std::move(list);
+    } else {
+      // A moving transmitter: probe the 3x3 cells, prefilter, and compute
+      // every surviving pair's exact power from exact positions.
+      // Take the scratch buffers: signal_start below can re-enter
+      // transmit(), and the nested call must not rewrite the lists this
+      // call iterates; it simply starts from empty vectors.
+      std::vector<std::uint32_t> candidates = std::move(candidates_scratch_);
+      candidates_scratch_ = {};
+      collect_candidates(tx_pos, candidates);
+      ++cache_stats_.candidate_sets;
+      cache_stats_.candidates_seen += candidates.size();
+      receivers.reserve(candidates.size());
+      // Power evaluation draws no randomness, so candidate order is free;
+      // only the audible subset must be delivered in attach order (the
+      // fault RNG stream is consumed per delivery, like the full scan).
+      std::vector<std::pair<std::uint32_t, double>> audible =
+          std::move(audible_scratch_);
+      audible_scratch_ = {};
+      audible.clear();
+      for (const std::uint32_t rx_idx : candidates) {
+        if (rx_idx == tx_idx) continue;
+        double power;
+        if (audible_power(rx_idx, tx_pos, start, now_s, power)) {
+          audible.emplace_back(rx_idx, power);
+        }
+      }
+      std::sort(audible.begin(), audible.end());
+      for (const auto& [rx_idx, power] : audible) {
+        deliver(radios_[rx_idx], power);
+      }
+      audible.clear();
+      audible_scratch_ = std::move(audible);
+      candidates.clear();
+      candidates_scratch_ = std::move(candidates);
     }
-    std::sort(audible.begin(), audible.end());
-    for (const auto& [rx_idx, power] : audible) {
-      deliver(radios_[rx_idx], power);
-    }
-    audible.clear();
-    audible_scratch_ = std::move(audible);
-    candidates.clear();
-    candidates_scratch_ = std::move(candidates);
   } else {
     // Reference path: exact original full scan (also the only correct path
     // under shadowing, where every delivery draws a shadowing deviate).

@@ -20,10 +20,12 @@
 //    *predicted position*: each radio's motion segment is pinned
 //    (position, time) at its last rebucket, so ref + v*dt places it
 //    exactly (up to FP rounding, absorbed by 1 m of slack) without a
-//    provider query — a far mover costs two fused multiply-adds. Pairs
-//    with both endpoints parked go through a bounded direct-mapped cache
-//    keyed by the endpoints' motion-segment epochs holding the exact link
-//    budget.
+//    provider query — a far mover costs two fused multiply-adds. A
+//    parked transmitter keeps a *link list*: its 3x3 candidates in
+//    attach order, each either a parked receiver with its exact cached
+//    power (audible ones only) or a moving candidate evaluated exactly at
+//    delivery. A list-served transmission does no grid probe and no sort;
+//    rebucket() drops the lists a motion event can make stale.
 //  * The full scan over every radio: the oracle the index is checked
 //    against, and the only path when nothing bounds the motion (a
 //    provider that is not piecewise-linear) or when shadowing is on.
@@ -100,20 +102,20 @@ class Channel {
                      std::vector<NodeId>& out);
 
   struct CacheStats {
-    std::uint64_t link_budget_hits = 0;    // exact cached power reused
-    std::uint64_t link_budget_misses = 0;  // power computed from positions
+    std::uint64_t link_budget_hits = 0;    // deliveries served a cached power
+    std::uint64_t link_budget_misses = 0;  // powers computed from positions
     std::uint64_t full_scans = 0;  // transmissions served by the slow path
     // Incremental index:
     std::uint64_t cell_migrations = 0;   // radio re-bucketed to a new cell
     std::uint64_t migration_checks = 0;  // deadline pops (incl. same-cell)
     std::uint64_t prefilter_rejects = 0; // candidates dropped by prediction
-    std::uint64_t candidate_sets = 0;    // grid-served transmissions
-    std::uint64_t candidates_seen = 0;   // sum of candidate-set sizes
+    std::uint64_t candidate_sets = 0;    // grid- or list-served transmissions
+    std::uint64_t candidates_seen = 0;   // sum of candidate-set/list sizes
   };
   const CacheStats& cache_stats() const { return cache_stats_; }
 
-  /// Retained bytes of the incremental index + pair cache (bounded by
-  /// construction; the memory-ceiling test reads this).
+  /// Retained bytes of the incremental index + link lists (O(radios +
+  /// parked transmitters x degree); the memory-ceiling test reads this).
   std::size_t index_memory_bytes() const;
 
  private:
@@ -134,16 +136,27 @@ class Channel {
     SimTime due = kTimeNever;
   };
 
-  /// One direct-mapped pair-cache slot: the exact link budget of a pair
-  /// whose endpoints are both parked, valid while both motion-segment
-  /// epochs match. Moving pairs never enter the cache — the predicted-
-  /// position prefilter handles them.
-  struct PairEntry {
-    std::uint64_t key = ~std::uint64_t{0};  // (lo_idx << 32) | hi_idx
-    std::uint64_t lo_epoch = kMovingEpoch;
-    std::uint64_t hi_epoch = kMovingEpoch;
+  /// One entry of a parked transmitter's link list. A parked receiver
+  /// carries the exact received power, which stays exact while both
+  /// endpoints keep their segments (identical doubles feed the identical
+  /// path-loss expression); a moving receiver is marked `exact` and takes
+  /// the prefilter plus a fresh rx_power_dbm at every delivery.
+  struct Link {
+    std::uint32_t rx = 0;
+    bool exact = false;
     double power_dbm = 0.0;
   };
+  struct LinkList {
+    std::vector<Link> entries;  // ascending receiver index (attach order)
+    bool valid = false;
+  };
+
+  static bool parked(std::uint64_t epoch, const geom::Vec2& velocity) {
+    return epoch != kMovingEpoch && velocity.x == 0.0 && velocity.y == 0.0;
+  }
+  static bool parked(const RadioMotion& rm) {
+    return parked(rm.epoch, rm.velocity);
+  }
 
   static std::uint64_t cell_key(std::int32_t cx, std::int32_t cy) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cx)) << 32) |
@@ -166,13 +179,22 @@ class Channel {
                    SimTime now) const;
   void heap_push(SimTime due, std::uint32_t idx);
   void collect_candidates(const geom::Vec2& tx_pos,
-                                      std::vector<std::uint32_t>& out) const;
-  /// Decides pair audibility through the pair cache. Returns false when
-  /// the pair is provably inaudible (no power computed); otherwise sets
-  /// `power_dbm` to the exact received power (the caller still applies
-  /// the carrier-sense threshold, as every path does).
-  bool pair_power(std::uint32_t tx_idx, std::uint32_t rx_idx,
-                  const geom::Vec2& tx_pos, SimTime at, double& power_dbm);
+                          std::vector<std::uint32_t>& out) const;
+  /// False when the predicted position of `rx_idx` at `now_s` proves the
+  /// pair inaudible (beyond the slacked sensing limit).
+  bool maybe_audible(std::uint32_t rx_idx, const geom::Vec2& tx_pos,
+                     double now_s) const;
+  /// Exact evaluation of one candidate, as the full scan does it, after
+  /// the prefilter: false when the pair is inaudible or the receiver is
+  /// in outage, otherwise true with `power_dbm` from exact positions.
+  bool audible_power(std::uint32_t rx_idx, const geom::Vec2& tx_pos,
+                     SimTime at, double now_s, double& power_dbm);
+  /// Rebuilds the link list of parked transmitter `tx_idx`.
+  void build_links(std::uint32_t tx_idx, const geom::Vec2& tx_pos, SimTime at);
+  /// Marks stale the link list of every radio in the 3x3 cells around
+  /// (cx, cy): exactly the transmitters whose candidate set holds a radio
+  /// in that cell.
+  void invalidate_links_near(std::int32_t cx, std::int32_t cy);
 
   sim::Simulator& sim_;
   Propagation& prop_;
@@ -193,7 +215,10 @@ class Channel {
   // motion can invalidate their bucket carry an entry; each radio has at
   // most one live entry (rebucket pops before pushing).
   std::vector<std::pair<SimTime, std::uint32_t>> migrate_heap_;
-  std::vector<PairEntry> pair_cache_;  // power-of-two, direct-mapped
+  // Link lists by transmitter attach index, sized once in
+  // ensure_incremental(). A list is valid only while its transmitter is
+  // parked.
+  std::vector<LinkList> links_;
 
   // Recycled candidate buffer. transmit() *takes* it (swap) rather than
   // iterating the member directly: delivering a signal can synchronously

@@ -67,16 +67,16 @@ class Radio {
 
   // --- Channel-facing interface ---
   /// Attach-order index assigned by Channel::attach; lets the channel map
-  /// a transmitting radio to its grid/cache row without a hash lookup.
+  /// a transmitting radio to its grid/link-list row without a hash lookup.
   void set_channel_index(std::uint32_t index) { channel_index_ = index; }
   std::uint32_t channel_index() const { return channel_index_; }
   void signal_start(const Signal& signal, double rx_threshold_dbm,
                     double capture_threshold_db);
-  /// Ends the previously-started signal `id`. The radio finishes with its
-  /// own stored copy of the delivery (the channel does not need to retain
-  /// per-receiver signals until end-of-air). A no-op when the signal is no
-  /// longer tracked (an outage wiped it), matching the outage semantics:
-  /// a deaf radio saw the energy vanish already.
+  /// Ends the previously-started signal `id`. A locked reception finishes
+  /// with the radio's own copy of the delivery (the channel does not need
+  /// to retain per-receiver signals until end-of-air). A no-op when the
+  /// signal is no longer tracked (an outage wiped it), matching the outage
+  /// semantics: a deaf radio saw the energy vanish already.
   void signal_end(std::uint64_t signal_id);
   void own_transmit_end(std::uint64_t signal_id);
 
@@ -88,15 +88,27 @@ class Radio {
   std::uint32_t channel_index_ = 0;
   std::vector<RadioListener*> listeners_;
 
-  // Audible signals. A flat vector: concurrent in-flight signals at one
-  // receiver are few (bounded by simultaneous transmitters in CS range),
-  // so linear scans beat a hash map and per-delivery rehashing.
-  std::vector<Signal> incident_;
+  /// What the radio keeps of each audible signal: the id (to find it at
+  /// signal_end) and the power (for the capture check). No payload, so
+  /// tracking a delivery costs no refcount.
+  struct Incident {
+    std::uint64_t id = 0;
+    double rx_power_dbm = 0.0;
+  };
+
+  // Audible signals, in no particular order: the capture check is an
+  // any-of over them and signal_end removes by swap-and-pop. A flat
+  // vector: concurrent in-flight signals at one receiver are few (bounded
+  // by simultaneous transmitters in CS range), so linear scans beat a hash
+  // map and per-delivery rehashing.
+  std::vector<Incident> incident_;
   bool transmitting_ = false;
   bool last_carrier_ = false;
   bool outage_ = false;
 
-  // Reception lock state.
+  // Reception lock state. rx_signal_ is the only full Signal a radio
+  // holds; it is moved out when the lock ends and cleared by an outage, so
+  // an idle radio pins no payload.
   bool receiving_ = false;
   Signal rx_signal_;
   bool rx_corrupted_ = false;

@@ -412,7 +412,23 @@ struct GridRunResult {
   std::vector<std::tuple<SimTime, int, std::uint64_t>> trace;  // all nodes, merged
   std::uint64_t fault_decisions = 0;
   phy::Channel::CacheStats stats;
+  int nested_answers = 0;  // transmissions made from inside a delivery
 };
+
+GridRunResult collect_result(
+    const phy::FaultInjector& injector, const phy::Channel& channel,
+    const std::vector<std::unique_ptr<DeliveryTrace>>& traces) {
+  GridRunResult out;
+  out.fault_decisions = injector.decisions();
+  out.stats = channel.cache_stats();
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    for (const auto& e : traces[i]->events) {
+      out.trace.emplace_back(std::get<0>(e), std::get<1>(e) + 10 * static_cast<int>(i),
+                             std::get<2>(e));
+    }
+  }
+  return out;
+}
 
 GridRunResult run_grid_scenario(phy::Channel::IndexMode mode, int grid,
                                 bool mobile, std::uint64_t seed = 5,
@@ -429,7 +445,7 @@ GridRunResult run_grid_scenario(phy::Channel::IndexMode mode, int grid,
   std::unique_ptr<phy::PositionProvider> positions;
   if (mobile) {
     // Compressed-time waypoint motion: fast legs and long pauses so the run
-    // actually contains waypoint arrivals, simultaneous pauses (pair-cache
+    // actually contains waypoint arrivals, simultaneous pauses (link-list
     // hits), and cell migrations. pause = 0 keeps every node continuously
     // in motion instead.
     net::RandomWaypointParams rwp;
@@ -481,16 +497,7 @@ GridRunResult run_grid_scenario(phy::Channel::IndexMode mode, int grid,
   }
   sim.run();
 
-  GridRunResult out;
-  out.fault_decisions = injector.decisions();
-  out.stats = channel.cache_stats();
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    for (const auto& e : traces[i]->events) {
-      out.trace.emplace_back(std::get<0>(e), std::get<1>(e) + 10 * static_cast<int>(i),
-                             std::get<2>(e));
-    }
-  }
-  return out;
+  return collect_result(injector, channel, traces);
 }
 
 void expect_static_matches_scan(int grid) {
@@ -555,6 +562,216 @@ TEST(SpatialIndex, IncrementalStaticMatchesReferenceExactly) {
 
 TEST(SpatialIndex, IncrementalMobileMatchesReferenceSeedSwept) {
   expect_mobile_matches_scan(5);
+}
+
+// --- Link lists: every invalidation event, against the full scan ------------
+//
+// A parked transmitter serves its fan-out from a link list (cached powers
+// of parked receivers, exact evaluation of moving ones). Each case below
+// scripts one event that must make a list stale — a neighbour departing,
+// a neighbour arriving and parking, a receiver crossing into and out of
+// the 3x3 cells — or one that the walk itself must honour (an outage on a
+// listed receiver, a listener transmitting from inside the fan-out), and
+// requires the incremental index to reproduce the full scan's deliveries
+// and fault-RNG consumption exactly.
+
+// Piecewise-linear scripted motion: each node moves linearly between
+// (time, position) knots and holds its last knot forever; two equal
+// consecutive positions make a parked segment. Segment k has epoch k.
+class ScriptedMotion : public phy::PositionProvider {
+ public:
+  struct Knot {
+    SimTime at;
+    geom::Vec2 pos;
+  };
+  explicit ScriptedMotion(std::vector<std::vector<Knot>> paths)
+      : paths_(std::move(paths)) {}
+
+  geom::Vec2 position(NodeId node, SimTime at) const override {
+    return motion(node, at).position;
+  }
+  bool piecewise_linear() const override { return true; }
+  phy::MotionState motion(NodeId node, SimTime at) const override {
+    const std::vector<Knot>& path = paths_.at(node);
+    std::size_t k = 0;
+    while (k + 1 < path.size() && path[k + 1].at <= at) ++k;
+    phy::MotionState m;
+    m.epoch = k;
+    if (k + 1 == path.size()) {
+      m.position = path[k].pos;
+      m.until = kTimeNever;
+      return m;
+    }
+    const Knot& a = path[k];
+    const Knot& b = path[k + 1];
+    const double frac =
+        static_cast<double>(at - a.at) / static_cast<double>(b.at - a.at);
+    m.position = a.pos + (b.pos - a.pos) * frac;
+    m.velocity_mps = (b.pos - a.pos) * (1.0 / time_to_seconds(b.at - a.at));
+    m.until = b.at;
+    return m;
+  }
+
+ private:
+  std::vector<std::vector<Knot>> paths_;
+};
+
+// Transmits from inside the delivery that wakes its radio's carrier (a
+// nested Channel::transmit during the fan-out) and from a receive error
+// (nested in the end-of-air loop), a bounded number of times.
+struct NestedResponder : phy::RadioListener {
+  phy::Radio* radio = nullptr;
+  phy::PayloadPtr payload;
+  int answers = 0;
+  void answer() {
+    if (answers == 40 || radio->transmitting()) return;
+    ++answers;
+    radio->transmit(payload, 150 * kMicrosecond);
+  }
+  void on_carrier(bool busy, SimTime) override {
+    if (busy) answer();
+  }
+  void on_receive(const phy::Signal&) override {}
+  void on_receive_error(const phy::Signal&) override { answer(); }
+  void on_transmit_end(std::uint64_t) override {}
+};
+
+struct ScriptedScenario {
+  std::vector<std::vector<ScriptedMotion::Knot>> paths;
+  std::vector<phy::FaultPlan::Outage> outages;
+  std::vector<NodeId> responders;
+};
+
+// Nodes 0-2 are parked for the whole run: 0 at the hub, 1 within decode
+// range of it, 2 within sensing range only. Node 3 is scripted per case.
+ScriptedScenario parked_trio(std::vector<ScriptedMotion::Knot> node3) {
+  ScriptedScenario sc;
+  sc.paths = {{{0, {100.0, 100.0}}},
+              {{0, {300.0, 100.0}}},
+              {{0, {100.0, 420.0}}},
+              std::move(node3)};
+  return sc;
+}
+
+GridRunResult run_scripted(phy::Channel::IndexMode mode,
+                           const ScriptedScenario& sc) {
+  sim::Simulator sim;
+  phy::Propagation prop(phy::PropagationParams{}, /*shadowing_seed=*/1);
+  ScriptedMotion positions(sc.paths);
+  phy::Channel channel(sim, prop, positions);
+  channel.set_index_mode(mode);
+
+  const auto payload = std::make_shared<const mac::Frame>();
+  std::vector<std::unique_ptr<phy::Radio>> radios;
+  std::vector<std::unique_ptr<DeliveryTrace>> traces;
+  std::vector<std::unique_ptr<NestedResponder>> responders;
+  for (NodeId i = 0; i < sc.paths.size(); ++i) {
+    radios.push_back(std::make_unique<phy::Radio>(i, channel));
+    traces.push_back(std::make_unique<DeliveryTrace>());
+    radios.back()->add_listener(traces.back().get());
+  }
+  for (const NodeId i : sc.responders) {
+    responders.push_back(std::make_unique<NestedResponder>());
+    responders.back()->radio = radios[i].get();
+    responders.back()->payload = payload;
+    radios[i]->add_listener(responders.back().get());
+  }
+
+  phy::FaultPlan plan;
+  plan.loss_probability = 0.2;
+  plan.corrupt_probability = 0.2;
+  plan.outages = sc.outages;
+  phy::FaultInjector injector(plan, 3);
+  channel.install_faults(injector);
+
+  // Every node transmits throughout the 8 s run on its own period, so the
+  // parked ones serve many fan-outs from their lists around each event.
+  for (NodeId src = 0; src < radios.size(); ++src) {
+    const SimDuration period = (20 + 13 * static_cast<SimDuration>(src)) * kMillisecond;
+    for (SimTime at = static_cast<SimTime>(src) * kMillisecond; at < 8 * kSecond;
+         at += period) {
+      sim.at(at, [&radios, src, payload] {
+        if (!radios[src]->transmitting()) {
+          radios[src]->transmit(payload, 300 * kMicrosecond);
+        }
+      });
+    }
+  }
+  sim.run();
+  GridRunResult out = collect_result(injector, channel, traces);
+  for (const auto& r : responders) out.nested_answers += r->answers;
+  return out;
+}
+
+GridRunResult expect_scripted_matches_scan(const ScriptedScenario& sc) {
+  const GridRunResult inc = run_scripted(phy::Channel::IndexMode::kAuto, sc);
+  const GridRunResult ref = run_scripted(phy::Channel::IndexMode::kFullScan, sc);
+  EXPECT_EQ(inc.trace, ref.trace);
+  EXPECT_EQ(inc.fault_decisions, ref.fault_decisions);
+  EXPECT_EQ(inc.nested_answers, ref.nested_answers);
+  EXPECT_GT(inc.fault_decisions, 0u);
+  EXPECT_EQ(inc.stats.full_scans, 0u);
+  // The parked transmitters served deliveries from their link lists.
+  EXPECT_GT(inc.stats.link_budget_hits, 0u);
+  return inc;
+}
+
+TEST(SpatialIndex, LinkListsDropADepartingNeighbour) {
+  // Node 3 parks 212 m from the hub, leaves at 2 s for 2.9 km away (out of
+  // every hub-side cell), parks there, and comes back at 6 s.
+  const GridRunResult inc = expect_scripted_matches_scan(parked_trio(
+      {{0, {250.0, 250.0}},
+       {2 * kSecond, {250.0, 250.0}},
+       {4 * kSecond, {3000.0, 250.0}},
+       {6 * kSecond, {3000.0, 250.0}},
+       {7 * kSecond, {250.0, 250.0}}}));
+  EXPECT_GT(inc.stats.cell_migrations, 0u);
+}
+
+TEST(SpatialIndex, LinkListsAdmitANeighbourThatArrivesAndParks) {
+  // Node 3 starts parked far away and arrives at 4 s within decode range
+  // of the hub, where it parks for the rest of the run.
+  const GridRunResult inc = expect_scripted_matches_scan(parked_trio(
+      {{0, {3000.0, 3000.0}},
+       {1 * kSecond, {3000.0, 3000.0}},
+       {4 * kSecond, {200.0, 250.0}}}));
+  EXPECT_GT(inc.stats.cell_migrations, 0u);
+}
+
+TEST(SpatialIndex, LinkListsTrackAReceiverCrossingTheCells) {
+  // Node 3 sweeps north-south through the hub's 3x3 cells and back three
+  // times, entering and leaving them (and the hub's sensing and decode
+  // ranges) while the hub's list keeps serving.
+  const GridRunResult inc = expect_scripted_matches_scan(parked_trio(
+      {{0, {200.0, -1500.0}},
+       {2 * kSecond, {200.0, 1700.0}},
+       {4 * kSecond, {200.0, -1500.0}},
+       {6 * kSecond, {200.0, 1700.0}},
+       {8 * kSecond, {200.0, -1500.0}}}));
+  EXPECT_GE(inc.stats.cell_migrations, 8u);
+  EXPECT_GT(inc.stats.prefilter_rejects, 0u);
+}
+
+TEST(SpatialIndex, LinkListsSkipAListedReceiverInOutage) {
+  // Outages on two parked receivers already in the hub's list, one long
+  // and one shorter than a transmission period.
+  ScriptedScenario sc = parked_trio({{0, {250.0, 250.0}}});
+  sc.outages = {{1, 1 * kSecond, 3 * kSecond},
+                {2, 2500 * kMillisecond, 2510 * kMillisecond}};
+  expect_scripted_matches_scan(sc);
+}
+
+TEST(SpatialIndex, LinkListsSurviveATransmitNestedInTheFanOut) {
+  // Nodes 1-3 answer from inside on_carrier (nested in a list-served
+  // fan-out, with receivers of the outer walk still to come) and from
+  // on_receive_error; node 3 also moves, so nested transmitters take both
+  // the list path and the exact path.
+  ScriptedScenario sc = parked_trio({{0, {250.0, 250.0}},
+                                     {3 * kSecond, {250.0, 250.0}},
+                                     {5 * kSecond, {900.0, 250.0}}});
+  sc.responders = {1, 2, 3};
+  const GridRunResult inc = expect_scripted_matches_scan(sc);
+  EXPECT_GT(inc.nested_answers, 40);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "phy/channel.hpp"
@@ -174,6 +177,93 @@ TEST(Radio, WeakerConcurrentArrivalIsInterferenceNotLock) {
   f.sim.run();
   ASSERT_EQ(f.recorders[1]->received.size(), 1u);
   EXPECT_EQ(f.recorders[1]->received[0].transmitter, 0u);
+}
+
+// Three overlapping signals at receiver 0 from senders 1, 2 and 3, started
+// in that order 10 us apart and ended in each of the six possible orders.
+// The radio keeps incident signals in no particular order (removal is
+// swap-and-pop), so neither the locked frame's outcome nor receiver 0's
+// carrier edges may depend on which signal ends first.
+void expect_same_outcome_in_every_end_order(
+    const std::vector<geom::Vec2>& senders, NodeId locked, bool ok) {
+  std::array<int, 3> order{0, 1, 2};
+  do {
+    SCOPED_TRACE("end order " + std::to_string(order[0]) +
+                 std::to_string(order[1]) + std::to_string(order[2]));
+    PhyFixture f({{0, 0}, senders[0], senders[1], senders[2]});
+    std::array<SimTime, 3> ends{};
+    for (int j = 0; j < 3; ++j) {
+      ends[order[j]] = (100 + 40 * j) * kMicrosecond;
+    }
+    for (int k = 0; k < 3; ++k) {
+      const SimTime start = 10 * k * kMicrosecond;
+      f.sim.at(start, [&f, k, airtime = ends[k] - start] {
+        f.radios[k + 1]->transmit(payload(), airtime);
+      });
+    }
+    f.sim.run();
+    const Recorder& r = *f.recorders[0];
+    const std::vector<std::pair<bool, SimTime>> edges{
+        {true, 0}, {false, 180 * kMicrosecond}};
+    EXPECT_EQ(r.carrier, edges);
+    if (ok) {
+      ASSERT_EQ(r.received.size(), 1u);
+      EXPECT_EQ(r.received[0].transmitter, locked);
+      EXPECT_EQ(r.received[0].end, ends[locked - 1]);
+      EXPECT_EQ(r.errors, 0);
+    } else {
+      EXPECT_TRUE(r.received.empty());
+      EXPECT_EQ(r.errors, 1);
+    }
+    EXPECT_FALSE(f.radios[0]->carrier_busy());
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
+TEST(Radio, CapturedLockSurvivesEveryEndOrder) {
+  // Sender 1 is close; 2 and 3 arrive >10 dB weaker and only interfere.
+  expect_same_outcome_in_every_end_order({{50, 0}, {-520, 0}, {0, 520}},
+                                         /*locked=*/1, /*ok=*/true);
+}
+
+TEST(Radio, CollidedLockFailsInEveryEndOrder) {
+  // Three comparable senders: the second arrival corrupts the first lock.
+  expect_same_outcome_in_every_end_order({{200, 0}, {-200, 0}, {0, 200}},
+                                         /*locked=*/1, /*ok=*/false);
+}
+
+TEST(Radio, LateLockClearsWeakInterferenceInEveryEndOrder) {
+  // Sender 1 is sensed but undecodable; sender 2 locks because the energy
+  // already present is >10 dB weaker, and sender 3 stays interference.
+  expect_same_outcome_in_every_end_order({{-520, 0}, {100, 0}, {0, 520}},
+                                         /*locked=*/2, /*ok=*/true);
+}
+
+TEST(Radio, LockedFrameIsReleasedWhenTheLockEndsOrAnOutageStarts) {
+  PhyFixture f({{0, 0}, {100, 0}});
+  PayloadPtr first = payload();
+  const std::weak_ptr<const Payload> first_ref = first;
+  f.radios[1]->transmit(std::move(first), 100 * kMicrosecond);
+  bool released_after_end = false;
+  f.sim.at(200 * kMicrosecond, [&] {
+    ASSERT_EQ(f.recorders[0]->received.size(), 1u);
+    f.recorders[0]->received.clear();  // the listener's own copy
+    released_after_end = first_ref.expired();
+  });
+  // A second frame that radio 0 locks onto, then loses to an outage.
+  std::weak_ptr<const Payload> second_ref;
+  f.sim.at(300 * kMicrosecond, [&] {
+    PayloadPtr second = payload();
+    second_ref = second;
+    f.radios[1]->transmit(std::move(second), 100 * kMicrosecond);
+  });
+  f.sim.at(350 * kMicrosecond, [&] { f.radios[0]->set_outage(true); });
+  bool released_by_outage = false;
+  f.sim.at(360 * kMicrosecond,
+           [&] { released_by_outage = second_ref.expired(); });
+  f.sim.run();
+  EXPECT_TRUE(released_after_end);
+  EXPECT_TRUE(released_by_outage);
+  EXPECT_TRUE(f.recorders[0]->received.empty());
 }
 
 TEST(CsTimeline, BusyTimeAndSlotAccounting) {

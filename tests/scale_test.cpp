@@ -245,7 +245,7 @@ TEST(ScaleMemory, PerNodeRetentionStaysUnderBudget) {
   }
   EXPECT_TRUE(some_node_pruned);  // the run actually generated history
 
-  // Channel index + pair cache: bounded per node (O(N), never an N x N
+  // Channel index + link lists: bounded per node (O(N), never an N x N
   // table).
   EXPECT_LE(net.channel().index_memory_bytes(), net.size() * std::size_t{32768});
 }
